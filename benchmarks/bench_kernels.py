@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Time the jitted kernels against their pure-NumPy twins.
 
-Each kernel in ``gamma4._kernels`` ships in two implementations selected
-at import time (``GAMMA4_NO_NUMBA=1`` forces the NumPy twin).  This
-script calls both twins directly on representative workloads and prints
-the best-of-R wall times side by side, checking on every run that the
-two backends return identical results.
+The sieve, signature and profile-grid kernels in ``gamma4._kernels`` ship
+in two implementations selected at import time (``GAMMA4_NO_NUMBA=1``
+forces the NumPy twin).  This script calls both twins directly on
+representative workloads and prints the best-of-R wall times side by side,
+checking on every run that the two backends return identical results.
+The graded elimination has a single implementation and is not timed here.
 
 Run from the repository root:
 
@@ -20,12 +21,6 @@ import time
 import numpy as np
 
 from gamma4 import _kernels
-from gamma4.cfk import (
-    staircase_from_semigroup,
-    subcomplex_at_level,
-    tensor_power,
-    trefoil_staircase,
-)
 from gamma4.semigroups import FormalSemigroup
 
 
@@ -36,20 +31,6 @@ def best_time(fn, repeat: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def boundary_matrix(power: int):
-    """Packed bit rows and grading of a trefoil tensor-power boundary."""
-    complex_ = subcomplex_at_level(tensor_power(trefoil_staircase(), power), 0)
-    n = len(complex_)
-    entries = [
-        (tgt, src)
-        for src, terms in enumerate(complex_.arrows)
-        for _, tgt in terms
-    ]
-    rows = _kernels.pack_bit_rows(n, entries)
-    grading = np.asarray(complex_.maslov, dtype=np.int64)
-    return n, rows, grading
 
 
 def profile_arrays(level: int):
@@ -64,18 +45,6 @@ def profile_arrays(level: int):
 
 def workloads():
     """Yield (kernel, size label, numpy callable, numba callable)."""
-    for power in (5, 6, 7):
-        n, rows, grading = boundary_matrix(power)
-        yield (
-            "graded_snf",
-            f"{n}x{n} boundary",
-            lambda r=rows, g=grading: _kernels._graded_snf_numpy(r.copy(), g),
-            (
-                (lambda r=rows, g=grading: _kernels._graded_snf_numba(r.copy(), g))
-                if _kernels.HAVE_NUMBA
-                else None
-            ),
-        )
     for a, b, limit in ((101, 937, 2_000_000), (5, 10001, 5_000_000)):
         yield (
             "sieve_members",

@@ -1,20 +1,23 @@
-"""Hot integer kernels: numba-jitted cores with a pure-NumPy fallback.
+"""Hot integer kernels: exact integer computation, never floating point.
 
-Everything here is exact integer computation; the accelerated paths never
-introduce floating point.  The backend is chosen once at import time:
+The graded elimination ``graded_snf`` has one implementation, on Python-int
+bitsets; ``_graded_snf_numpy`` is the NumPy reference it is tested against.
+The sieve, signature and profile-grid kernels each ship a numba-jitted core
+and a pure-NumPy twin implementing the identical algorithm.  Their backend
+is chosen once at import time:
 
 * default: numba-jitted kernels when numba imports cleanly;
 * ``GAMMA4_NO_NUMBA=1`` (or any value other than ``0``/empty): the
-  pure-NumPy twins, which implement the identical algorithms.
+  pure-NumPy twins.
 
-``benchmarks/bench_kernels.py`` times both twins against each other.
+``benchmarks/bench_kernels.py`` times those twins against each other.
 
 The central kernel diagonalizes boundary matrices over the one-variable
 polynomial ring with mod-2 coefficients.  Because the boundary map is
 homogeneous of internal degree -1, a nonzero entry in position (i, j) is
 forced to be the monomial of degree ``(grading[i] - grading[j] + 1) / 2`` at
-every stage of the reduction, so the whole elimination runs on a uint64 bit
-matrix plus the integer grading vector — row XORs, no polynomial arithmetic.
+every stage of the reduction, so the whole elimination runs on bit rows
+plus the integer grading vector — row XORs, no polynomial arithmetic.
 
 Pivots are chosen *doubly minimal*: minimal row grading within their column
 and maximal column grading within their row (a short alternating fixpoint).
@@ -58,8 +61,10 @@ def pack_bit_rows(n: int, entries) -> np.ndarray:
     """
     words = max(1, (n + 63) // 64)
     rows = np.zeros((max(1, n), words), dtype=np.uint64)
-    for i, j in entries:
-        rows[i, j >> 6] |= np.uint64(1) << np.uint64(j & 63)
+    pos = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    i, j = pos[:, 0], pos[:, 1]
+    bits = np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
+    np.bitwise_or.at(rows, (i, j >> 6), bits)
     return rows
 
 
@@ -69,7 +74,7 @@ def pack_bit_rows(n: int, entries) -> np.ndarray:
 
 
 def _graded_snf_numpy(rows: np.ndarray, grading: np.ndarray):
-    """Pure-NumPy twin of the graded elimination.
+    """NumPy reference for ``graded_snf``, kept for the tests.
 
     ``rows`` is consumed (modified in place).  Returns three int64 arrays
     (pivot_row, pivot_col, pivot_degree); the number of pivots is the rank.
@@ -128,113 +133,103 @@ def _graded_snf_numpy(rows: np.ndarray, grading: np.ndarray):
     )
 
 
-if HAVE_NUMBA:
+def _first_extreme(bits: int, classes) -> int:
+    """Lowest index set in ``bits`` within the first of ``classes`` it meets.
 
-    @njit(cache=True)
-    def _ctz64(b):  # pragma: no cover - jitted
-        t = 0
-        if b & np.uint64(0xFFFFFFFF) == 0:
-            t += 32
-            b >>= np.uint64(32)
-        if b & np.uint64(0xFFFF) == 0:
-            t += 16
-            b >>= np.uint64(16)
-        if b & np.uint64(0xFF) == 0:
-            t += 8
-            b >>= np.uint64(8)
-        if b & np.uint64(0xF) == 0:
-            t += 4
-            b >>= np.uint64(4)
-        if b & np.uint64(0x3) == 0:
-            t += 2
-            b >>= np.uint64(2)
-        if b & np.uint64(0x1) == 0:
-            t += 1
-        return t
-
-    @njit(cache=True)
-    def _graded_snf_numba(rows, grading):  # pragma: no cover - jitted
-        n = grading.shape[0]
-        empty = np.zeros(0, dtype=np.int64)
-        if n == 0:
-            return empty, empty.copy(), empty.copy()
-        words = rows.shape[1]
-        one = np.uint64(1)
-        row_active = np.ones(n, dtype=np.uint8)
-        col_active = np.ones(n, dtype=np.uint8)
-        piv_i = np.empty(n, dtype=np.int64)
-        piv_j = np.empty(n, dtype=np.int64)
-        piv_d = np.empty(n, dtype=np.int64)
-        rank = 0
-        for j_start in range(n):
-            while col_active[j_start] == 1:
-                w0 = j_start >> 6
-                b0 = one << np.uint64(j_start & 63)
-                i_cur = -1
-                for i in range(n):
-                    if row_active[i] == 1 and rows[i, w0] & b0 != 0:
-                        if i_cur == -1 or grading[i] < grading[i_cur]:
-                            i_cur = i
-                if i_cur == -1:
-                    break  # zero column: a kernel direction, never a pivot
-                j_cur = j_start
-                while True:
-                    # Maximal column grading within row i_cur.
-                    j_best = j_cur
-                    for w in range(words):
-                        word = rows[i_cur, w]
-                        base = w << 6
-                        while word:
-                            low = word & (~word + one)
-                            word ^= low
-                            j2 = base + _ctz64(low)
-                            if (
-                                j2 < n
-                                and col_active[j2] == 1
-                                and grading[j2] > grading[j_best]
-                            ):
-                                j_best = j2
-                    if grading[j_best] > grading[j_cur]:
-                        j_cur = j_best
-                        continue
-                    # Minimal row grading within column j_cur.
-                    wc = j_cur >> 6
-                    bc = one << np.uint64(j_cur & 63)
-                    i_best = i_cur
-                    for i in range(n):
-                        if row_active[i] == 1 and rows[i, wc] & bc != 0:
-                            if grading[i] < grading[i_best]:
-                                i_best = i
-                    if grading[i_best] < grading[i_cur]:
-                        i_cur = i_best
-                        continue
-                    break
-                piv_i[rank] = i_cur
-                piv_j[rank] = j_cur
-                piv_d[rank] = (grading[i_cur] - grading[j_cur] + 1) >> 1
-                rank += 1
-                row_active[i_cur] = 0
-                col_active[j_cur] = 0
-                wc = j_cur >> 6
-                bc = one << np.uint64(j_cur & 63)
-                for i2 in range(n):
-                    if row_active[i2] == 1 and rows[i2, wc] & bc != 0:
-                        for w in range(words):
-                            rows[i2, w] ^= rows[i_cur, w]
-        return piv_i[:rank].copy(), piv_j[:rank].copy(), piv_d[:rank].copy()
+    ``classes`` holds one index mask per grading value, in order of
+    preference, so this is the first index of extreme grading in ``bits``.
+    """
+    for mask in classes:
+        hit = bits & mask
+        if hit:
+            return (hit & -hit).bit_length() - 1
+    raise AssertionError("empty bit set; this is a bug")
 
 
 def graded_snf(rows: np.ndarray, grading: np.ndarray):
     """Diagonalize a graded mod-2 boundary matrix; returns pivot data.
 
-    ``rows`` (uint64 bit rows, modified in place) encodes the nonzero pattern;
-    entry degrees are implied by ``grading``.  Returns int64 arrays
-    ``(pivot_row, pivot_col, pivot_degree)``.
+    ``rows`` (uint64 bit rows from ``pack_bit_rows``, left unchanged) encodes
+    the nonzero pattern; entry degrees are implied by ``grading``.  Returns
+    int64 arrays ``(pivot_row, pivot_col, pivot_degree)``.
+
+    The elimination runs on Python-int bitsets: one int per row, one per
+    column, and an active-row and an active-column mask.  It makes exactly
+    the pivot choices of ``_graded_snf_numpy`` (first index of minimal row
+    grading, first index of maximal column grading, same fixpoint, same row
+    XOR), so both return identical triples.
     """
-    grading = np.ascontiguousarray(grading, dtype=np.int64)
-    if HAVE_NUMBA:
-        return _graded_snf_numba(rows, grading)
-    return _graded_snf_numpy(rows, grading)
+    n = len(grading)
+    empty = np.zeros(0, dtype=np.int64)
+    if n == 0:
+        return empty, empty.copy(), empty.copy()
+    grade = np.asarray(grading, dtype=np.int64).tolist()
+    stride = 8 * rows.shape[1]
+    raw = np.ascontiguousarray(rows[:n], dtype="<u8").tobytes()
+    row_bits = [
+        int.from_bytes(raw[k : k + stride], "little") for k in range(0, n * stride, stride)
+    ]
+    col_bits = [0] * n
+    for i, bits in enumerate(row_bits):
+        flag = 1 << i
+        while bits:
+            low = bits & -bits
+            col_bits[low.bit_length() - 1] |= flag
+            bits ^= low
+    by_grade: dict[int, int] = {}
+    for k, value in enumerate(grade):
+        by_grade[value] = by_grade.get(value, 0) | (1 << k)
+    ascending = [by_grade[value] for value in sorted(by_grade)]
+    descending = ascending[::-1]
+
+    row_active = col_active = (1 << n) - 1
+    piv_i: list[int] = []
+    piv_j: list[int] = []
+    piv_d: list[int] = []
+    for j_start in range(n):
+        while col_active >> j_start & 1:
+            holders = col_bits[j_start] & row_active
+            if not holders:
+                break  # zero column: a kernel direction, never a pivot
+            # The fixpoint of the reference, minus its repeated scans: i_cur
+            # is always the pick of column j_cur when the row is scanned,
+            # and j_cur the pick of row i_cur when the column is scanned.
+            i_cur = _first_extreme(holders, ascending)
+            j_cur = j_start
+            while True:
+                j_best = _first_extreme(row_bits[i_cur] & col_active, descending)
+                if grade[j_best] <= grade[j_cur]:
+                    break
+                j_cur = j_best
+                i_best = _first_extreme(col_bits[j_cur] & row_active, ascending)
+                if grade[i_best] >= grade[i_cur]:
+                    break
+                i_cur = i_best
+            piv_i.append(i_cur)
+            piv_j.append(j_cur)
+            piv_d.append((grade[i_cur] - grade[j_cur] + 1) >> 1)
+            row_active ^= 1 << i_cur
+            col_active ^= 1 << j_cur
+            hit = col_bits[j_cur] & row_active
+            if not hit:
+                continue
+            pivot = row_bits[i_cur]
+            rest = hit
+            while rest:
+                low = rest & -rest
+                row_bits[low.bit_length() - 1] ^= pivot
+                rest ^= low
+            # Inactive columns are never read again, so only active ones track.
+            rest = pivot & col_active
+            while rest:
+                low = rest & -rest
+                col_bits[low.bit_length() - 1] ^= hit
+                rest ^= low
+    return (
+        np.array(piv_i, dtype=np.int64),
+        np.array(piv_j, dtype=np.int64),
+        np.array(piv_d, dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------

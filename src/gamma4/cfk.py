@@ -50,35 +50,38 @@ class BifilteredComplex:
     arrows: tuple[tuple[Arrow, ...], ...]  # arrows[src] = ((e, tgt), ...)
 
     def __post_init__(self) -> None:
-        n = len(self.ids)
-        if not (len(self.maslov) == len(self.alexander) == len(self.arrows) == n):
+        ids, maslov, alexander, arrows = self.ids, self.maslov, self.alexander, self.arrows
+        n = len(ids)
+        if not (len(maslov) == len(alexander) == len(arrows) == n):
             raise ValueError("field lengths disagree")
-        if len(set(self.ids)) != n:
+        if len(set(ids)) != n:
             raise ValueError("generator ids must be unique")
-        for src, terms in enumerate(self.arrows):
+        targets = [0] * n  # bit t of targets[src] set iff src has an arrow to t
+        for src, terms in enumerate(arrows):
             seen = set()
+            mask = 0
             for e, tgt in terms:
                 if e < 0 or not 0 <= tgt < n:
                     raise ValueError("arrow exponent/target out of range")
                 if (e, tgt) in seen:
                     raise ValueError("duplicate arrow; canonicalize mod 2 first")
                 seen.add((e, tgt))
-                if self.maslov[tgt] - 2 * e != self.maslov[src] - 1:
-                    raise ValueError(
-                        f"grading violation on {self.ids[src]} -> {self.ids[tgt]}"
-                    )
-                if self.alexander[tgt] - e > self.alexander[src]:
-                    raise ValueError(
-                        f"filtration violation on {self.ids[src]} -> {self.ids[tgt]}"
-                    )
-        for src in range(n):
-            square: dict[tuple[int, int], int] = {}
-            for e1, mid in self.arrows[src]:
-                for e2, tgt in self.arrows[mid]:
-                    key = (e1 + e2, tgt)
-                    square[key] = square.get(key, 0) ^ 1
-            if any(square.values()):
-                raise ValueError(f"differential does not square to zero at {self.ids[src]}")
+                if maslov[tgt] - 2 * e != maslov[src] - 1:
+                    raise ValueError(f"grading violation on {ids[src]} -> {ids[tgt]}")
+                if alexander[tgt] - e > alexander[src]:
+                    raise ValueError(f"filtration violation on {ids[src]} -> {ids[tgt]}")
+                mask |= 1 << tgt
+            targets[src] = mask
+        # The grading check fixes each arrow's exponent from the Maslov
+        # gradings of its ends, so every path src -> mid -> tgt carries the
+        # same power of U: d^2 vanishes at src iff the paths to each target
+        # cancel in pairs, i.e. iff the XOR of the targets of its targets is 0.
+        for src, terms in enumerate(arrows):
+            square = 0
+            for _, mid in terms:
+                square ^= targets[mid]
+            if square:
+                raise ValueError(f"differential does not square to zero at {ids[src]}")
 
     def __len__(self) -> int:
         return len(self.ids)

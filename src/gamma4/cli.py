@@ -75,6 +75,28 @@ class _Output:
     code: int = 0
 
 
+def _checked_cache_data(data) -> dict[str, list[int]]:
+    """The loaded cache store, or ValueError unless every entry is a profile.
+
+    A torsion profile is a list of ints that never rises, drops by at most
+    one per step (Rasmussen: ``V_s - 1 <= V_{s+1} <= V_s``) and ends at its
+    only zero.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("top level is not a JSON object")
+    for key, value in data.items():
+        if not (
+            isinstance(value, list)
+            and value
+            and all(type(v) is int for v in value)
+            and value[-1] == 0
+            and all(v > 0 for v in value[:-1])
+            and all(cur - nxt in (0, 1) for cur, nxt in zip(value, value[1:]))
+        ):
+            raise ValueError(f"entry {key!r} is not a torsion profile")
+    return data
+
+
 class ProfileCache:
     """Torsion profiles memoised per canonical expression string.
 
@@ -90,7 +112,7 @@ class ProfileCache:
         self.dirty = False
         if path is not None and os.path.exists(path):
             with open(path, encoding="utf-8") as handle:
-                self.data = json.load(handle)
+                self.data = _checked_cache_data(json.load(handle))
 
     def profile(self, expr: KnotExpression, genus_cap: int) -> tuple[int, ...]:
         plan = route(expr, genus_cap)
@@ -551,7 +573,7 @@ def main(argv: list[str] | None = None) -> int:
     cache_path = getattr(args, "cache", None)
     try:
         cache = ProfileCache(cache_path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read cache file: {exc}", file=sys.stderr)
         return 2
     try:

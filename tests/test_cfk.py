@@ -197,29 +197,128 @@ def test_verify_staircase2n():
         verify_staircase2n(0)
 
 
-def test_backends_agree_on_homology_structure():
-    """The active backend and the NumPy twin must produce the same module
-    structure (rank, torsion multiset, tower location) on sample complexes."""
-    samples = [
-        subcomplex_at_level(torus_staircase(3, 5), s) for s in range(0, 5)
-    ] + [
-        subcomplex_at_level(tensor(torus_staircase(2, 3), torus_staircase(2, 5)), s)
-        for s in range(0, 4)
+def _snf_both(c: BifilteredComplex):
+    """Pivot triples of ``graded_snf`` and of the NumPy reference on ``c``."""
+    n = len(c)
+    entries = [(t, src) for src, terms in enumerate(c.arrows) for _, t in terms]
+    grading = np.asarray(c.maslov, dtype=np.int64)
+    rows = _kernels.pack_bit_rows(n, entries)
+    before = rows.copy()
+    fast = _kernels.graded_snf(rows, grading)
+    assert np.array_equal(rows, before)  # the input is left unchanged
+    return fast, _kernels._graded_snf_numpy(rows, grading.copy())
+
+
+def _every_level(c: BifilteredComplex) -> list[BifilteredComplex]:
+    return [
+        subcomplex_at_level(c, s)
+        for s in range(min(c.alexander) - 1, max(c.alexander) + 1)
     ]
+
+
+def test_backends_agree_on_homology_structure():
+    """``graded_snf`` makes exactly the pivot choices of the NumPy reference:
+    identical (pivot_row, pivot_col, pivot_degree) triples at every level."""
+    t23, t25 = torus_staircase(2, 3), torus_staircase(2, 5)
+    samples = [
+        *_every_level(torus_staircase(3, 5)),
+        *_every_level(tensor(t23, t25)),
+        # T(2,3) + T(3,4) - T(2,5)
+        *_every_level(tensor(tensor(t23, torus_staircase(3, 4)), dual(t25))),
+        # T(3,4) - 2*T(5,6) as the oracle assembles it: 405 generators
+        *_every_level(
+            tensor(tensor(dual(torus_staircase(5, 6)), dual(torus_staircase(5, 6))),
+                   torus_staircase(3, 4))
+        ),
+        BifilteredComplex(("x",), (0,), (0,), ((),)),
+    ]
+    assert max(len(c) for c in samples) == 405
     for c in samples:
-        n = len(c)
-        entries = [(t, src) for src, terms in enumerate(c.arrows) for _, t in terms]
-        grading = np.asarray(c.maslov, dtype=np.int64)
-        res_active = _kernels.graded_snf(_kernels.pack_bit_rows(n, entries), grading.copy())
-        res_numpy = _kernels._graded_snf_numpy(
-            _kernels.pack_bit_rows(n, entries), grading.copy()
-        )
-        for res in (res_active, res_numpy):
-            assert len(res[0]) == len(res_active[0])  # same rank
-        tors_active = sorted(
-            (int(d), int(c.maslov[i])) for i, d in zip(res_active[0], res_active[2]) if d >= 1
-        )
-        tors_numpy = sorted(
-            (int(d), int(c.maslov[i])) for i, d in zip(res_numpy[0], res_numpy[2]) if d >= 1
-        )
-        assert tors_active == tors_numpy
+        fast, ref = _snf_both(c)
+        assert len(fast) == len(ref) == 3
+        for got, want in zip(fast, ref):
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist()
+    empty = np.zeros(0, dtype=np.int64)
+    for res in (
+        _kernels.graded_snf(_kernels.pack_bit_rows(0, []), empty),
+        _kernels._graded_snf_numpy(_kernels.pack_bit_rows(0, []), empty),
+    ):
+        assert [x.tolist() for x in res] == [[], [], []]
+
+
+def _dict_reference_check(ids, maslov, alexander, arrows) -> None:
+    """The original validation, with the per-source dict ``d^2 = 0`` test."""
+    n = len(ids)
+    if not (len(maslov) == len(alexander) == len(arrows) == n):
+        raise ValueError("field lengths disagree")
+    if len(set(ids)) != n:
+        raise ValueError("generator ids must be unique")
+    for src, terms in enumerate(arrows):
+        seen = set()
+        for e, tgt in terms:
+            if e < 0 or not 0 <= tgt < n:
+                raise ValueError("arrow exponent/target out of range")
+            if (e, tgt) in seen:
+                raise ValueError("duplicate arrow; canonicalize mod 2 first")
+            seen.add((e, tgt))
+            if maslov[tgt] - 2 * e != maslov[src] - 1:
+                raise ValueError(f"grading violation on {ids[src]} -> {ids[tgt]}")
+            if alexander[tgt] - e > alexander[src]:
+                raise ValueError(f"filtration violation on {ids[src]} -> {ids[tgt]}")
+    for src in range(n):
+        square: dict[tuple[int, int], int] = {}
+        for e1, mid in arrows[src]:
+            for e2, tgt in arrows[mid]:
+                key = (e1 + e2, tgt)
+                square[key] = square.get(key, 0) ^ 1
+        if any(square.values()):
+            raise ValueError(f"differential does not square to zero at {ids[src]}")
+
+
+@st.composite
+def maybe_corrupted_fields(draw):
+    """Fields of a small tensor of staircases and duals, with at most one
+    arrow dropped, retargeted or added."""
+    knots = st.sampled_from([(2, 3), (2, 5), (3, 4), (2, 7), (3, 5)])
+    pieces = draw(st.lists(st.tuples(knots, st.booleans()), min_size=1, max_size=3))
+    c = None
+    for (p, q), mirrored in pieces:
+        piece = torus_staircase(p, q)
+        piece = dual(piece) if mirrored else piece
+        if c is not None and len(c) * len(piece) > 150:
+            break
+        c = piece if c is None else tensor(c, piece)
+    arrows = [list(terms) for terms in c.arrows]
+    n = len(c)
+    kind = draw(st.sampled_from(["none", "drop", "retarget", "add"]))
+    src = draw(st.integers(0, n - 1))
+    if kind in ("drop", "retarget") and arrows[src]:
+        k = draw(st.integers(0, len(arrows[src]) - 1))
+        e, _ = arrows[src].pop(k)
+        if kind == "retarget":
+            arrows[src].insert(k, (e, draw(st.integers(0, n - 1))))
+    elif kind == "add":
+        tgt = draw(st.integers(0, n - 1))
+        twice_e = c.maslov[tgt] - c.maslov[src] + 1
+        graded = twice_e >= 0 and twice_e % 2 == 0 and draw(st.booleans())
+        e = twice_e // 2 if graded else draw(st.integers(0, 3))
+        arrows[src].insert(draw(st.integers(0, len(arrows[src]))), (e, tgt))
+    return c.ids, c.maslov, c.alexander, tuple(tuple(terms) for terms in arrows)
+
+
+def _validation_error(check, fields) -> str | None:
+    try:
+        check(*fields)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(maybe_corrupted_fields())
+@settings(max_examples=200, deadline=None)
+def test_validation_matches_dict_reference(fields):
+    """The bitset ``d^2 = 0`` test raises the same error as the dict one,
+    exactly when the dict one does."""
+    expected = _validation_error(_dict_reference_check, fields)
+    assert _validation_error(BifilteredComplex, fields) == expected

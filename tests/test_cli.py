@@ -203,6 +203,26 @@ def test_cache_rejects_malformed_file(tmp_path, capsys):
     assert "cache" in err
 
 
+@pytest.mark.parametrize(
+    "contents",
+    [
+        '{"T(2,3)|vi": 5}',  # an entry that is not a list
+        '{"T(2,3)|vi": [7, 0]}',  # a list that drops by more than one
+        "[1, 2]",  # a top level that is not an object
+    ],
+)
+def test_cache_rejects_malformed_entries(tmp_path, capsys, contents):
+    store = tmp_path / "cache.json"
+    store.write_text(contents)
+    code, out, err = run_cli(
+        capsys, "invariants", "T(2,3)", "--cache", str(store)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read cache file: ")
+    assert store.read_text() == contents
+
+
 def test_thin_cli(capsys):
     code, out, _ = run_cli(capsys, "thin", "--tau", "2", "--sigma", "-4")
     assert code == 0
