@@ -26,7 +26,13 @@ from fractions import Fraction
 from typing import Iterable
 
 from .expressions import KnotExpression, mirror, multiply
-from .nuplus import DEFAULT_GENUS_CAP, t_invariant, vi_expr
+from .nuplus import (
+    DEFAULT_GENUS_CAP,
+    profile_at,
+    t_from_profile,
+    t_invariant,
+    vi_expr,
+)
 from .torus import signature_expr, vi_lspace
 
 
@@ -81,15 +87,11 @@ class OmegaEstimate:
     witness: int
 
 
-def _profile_at(values: tuple[int, ...], index: int) -> int:
-    return values[index] if index < len(values) else 0
-
-
 def _table(sigma: int, back_profile: tuple[int, ...]) -> tuple[int, ...]:
     """Rows ``sigma/2 - m - 2 V_m`` for m up to max(2 V_0, last index)."""
     top = max(2 * back_profile[0], len(back_profile) - 1)
     return tuple(
-        sigma // 2 - m - 2 * _profile_at(back_profile, m) for m in range(top + 1)
+        sigma // 2 - m - 2 * profile_at(back_profile, m) for m in range(top + 1)
     )
 
 
@@ -145,7 +147,7 @@ def _assemble(
     side: str,
 ) -> BoundReport:
     table = _table(sigma, back_profile)
-    t = min(m + 2 * _profile_at(back_profile, m) for m in range(len(table)))
+    t = t_from_profile(back_profile)
     main = sigma // 2 - t
     candidates = [1, main]
     if stable is not None:
@@ -234,7 +236,7 @@ def _scan(
     """
     for n, k in cells:
         r = k % n
-        vmax = max(_profile_at(back_profile, r), _profile_at(back_profile, n - r))
+        vmax = max(profile_at(back_profile, r), profile_at(back_profile, n - r))
         lhs = n * (lhs_flat + 8 * vmax)
         rhs = n * (rhs_flat - n) - (4 * (n + k) ** 2 - (2 * r - n) ** 2)
         if lhs < rhs:

@@ -13,15 +13,24 @@ Staircase complexes model L-space knots; duals model mirrors; tensor
 products model connected sums.  Homology over the polynomial ring is exact
 Smith normal form: because arrows are Maslov-homogeneous, every matrix entry
 is a forced monomial and the reduction runs on bit rows (see ``_kernels``).
+Each complex packs those bit rows once, on first use.
+
 The torsion invariants ``V_s`` drop out of the homology of the subcomplexes
 at each filtration level, making this module the independent oracle for all
-closed-form counting paths.
+closed-form counting paths.  Truncating at level ``s`` moves gradings and
+arrow exponents but never changes which generators an arrow joins, and it
+preserves all three invariants.  So level homology is read off the parent's
+packed pattern with shifted gradings, with no subcomplex built or checked
+again; ``subcomplex_at_level`` builds that subcomplex explicitly, validated,
+as the reference.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +47,17 @@ class NotSingleTowerError(ValueError):
 
 
 Arrow = tuple[int, int]  # (U-exponent, target generator index)
+
+
+class _Pattern(NamedTuple):
+    """A complex's boundary pattern as read-only arrays, built once."""
+
+    rows: np.ndarray  # uint64 bit rows: bit src of row tgt set per arrow
+    src: np.ndarray  # one entry per arrow
+    tgt: np.ndarray
+    exponent: np.ndarray
+    maslov: np.ndarray  # one entry per generator
+    alexander: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,6 +105,28 @@ class BifilteredComplex:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def _pattern(self) -> _Pattern:
+        """The packed boundary pattern, cached outside the dataclass fields
+        (so ``==`` and ``hash`` see the fields alone)."""
+        src, tgt, exponent = [], [], []
+        for s, terms in enumerate(self.arrows):
+            for e, t in terms:
+                src.append(s)
+                tgt.append(t)
+                exponent.append(e)
+        pattern = _Pattern(
+            rows=_kernels.pack_bit_rows(len(self), list(zip(tgt, src))),
+            src=np.array(src, dtype=np.int64),
+            tgt=np.array(tgt, dtype=np.int64),
+            exponent=np.array(exponent, dtype=np.int64),
+            maslov=np.array(self.maslov, dtype=np.int64),
+            alexander=np.array(self.alexander, dtype=np.int64),
+        )
+        for array in pattern:
+            array.flags.writeable = False
+        return pattern
 
     def index_of(self, gen_id: str) -> int:
         return self.ids.index(gen_id)
@@ -315,36 +357,52 @@ def _tower_grading(maslov, pivot_src_m, torsion) -> int:
     raise AssertionError("free summand not located; this is a bug")
 
 
-def homology_over_polynomial_ring(complex_: BifilteredComplex) -> HomologySummary:
-    """Exact Smith-normal-form homology over the mod-2 polynomial ring."""
+def homology_over_polynomial_ring(
+    complex_: BifilteredComplex, level: int | None = None
+) -> HomologySummary:
+    """Exact Smith-normal-form homology over the mod-2 polynomial ring.
+
+    With ``level=s`` this is the homology of ``subcomplex_at_level(complex_,
+    s)``, read off the packed pattern of ``complex_`` with the gradings
+    ``M(x) - 2 max(0, A(x) - s)``.  The shifted exponents
+    ``e + shift(src) - shift(tgt)`` are checked to be non-negative;
+    ``ValueError`` otherwise.
+    """
     n = len(complex_)
     if n == 0:
         return HomologySummary(free_rank=0, tower_grading=None, torsion=())
-    entries = [
-        (tgt, src) for src, terms in enumerate(complex_.arrows) for _, tgt in terms
-    ]
-    rows = _kernels.pack_bit_rows(n, entries)
-    grading = np.asarray(complex_.maslov, dtype=np.int64)
-    piv_row, piv_col, piv_deg = _kernels.graded_snf(rows, grading)
+    pattern = complex_._pattern
+    grading = pattern.maslov
+    if level is not None:
+        shift = np.maximum(pattern.alexander - level, 0)
+        if (pattern.exponent + shift[pattern.src] < shift[pattern.tgt]).any():
+            raise ValueError(f"negative arrow exponent at filtration level {level}")
+        grading = grading - 2 * shift
+    piv_row, piv_col, piv_deg = _kernels.graded_snf(pattern.rows, grading)
+    maslov = grading.tolist()
     rank = len(piv_row)
     free_rank = n - 2 * rank
     torsion = tuple(
         sorted(
-            (int(d), int(complex_.maslov[i]))
-            for i, d in zip(piv_row, piv_deg)
+            (int(d), maslov[i])
+            for i, d in zip(piv_row.tolist(), piv_deg.tolist())
             if d >= 1
         )
     )
     tower = None
     if free_rank == 1:
-        pivot_src_m = [complex_.maslov[j] for j in piv_col]
-        tower = _tower_grading(complex_.maslov, pivot_src_m, torsion)
+        pivot_src_m = [maslov[j] for j in piv_col.tolist()]
+        tower = _tower_grading(maslov, pivot_src_m, torsion)
     return HomologySummary(free_rank=free_rank, tower_grading=tower, torsion=torsion)
 
 
 def v_invariant(complex_: BifilteredComplex, s: int) -> int:
-    """Torsion invariant V_s: minus half the tower grading at filtration level s."""
-    summary = homology_over_polynomial_ring(subcomplex_at_level(complex_, s))
+    """Torsion invariant V_s: minus half the tower grading at filtration level s.
+
+    The level homology comes from the packed pattern of ``complex_``; no
+    subcomplex is built.
+    """
+    summary = homology_over_polynomial_ring(complex_, s)
     if summary.free_rank != 1:
         raise NotSingleTowerError(
             f"expected a single free summand, found {summary.free_rank}"
@@ -355,7 +413,11 @@ def v_invariant(complex_: BifilteredComplex, s: int) -> int:
 
 
 def vi_sequence(complex_: BifilteredComplex) -> tuple[int, ...]:
-    """V_0, V_1, ... up to and including the first zero."""
+    """V_0, V_1, ... up to and including the first zero.
+
+    Every level reads the same packed pattern of ``complex_``, built on the
+    first level; the complex's invariants were checked when it was built.
+    """
     out = []
     bound = max(complex_.alexander, default=0) + 1
     s = 0

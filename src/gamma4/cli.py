@@ -56,10 +56,11 @@ from .nuplus import (
     DEFAULT_GENUS_CAP,
     UnsupportedExpressionError,
     route,
+    t_from_profile,
     tensor_complex,
     vi_expr,
 )
-from .surgery import d_invariant, d_invariant_negative
+from .surgery import d_from_profile
 from .torus import alexander, signature_expr
 from .verify import SUBSETS
 from .verify import run as run_verify
@@ -202,10 +203,6 @@ def _display_expr(canonical: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _t_from_profile(profile: tuple[int, ...]) -> int:
-    return min(m + 2 * v for m, v in enumerate(profile))
-
-
 def _cmd_invariants(args, cache: ProfileCache) -> _Output:
     expr = parse(args.expr)
     canonical = render(expr)
@@ -228,7 +225,7 @@ def _cmd_invariants(args, cache: ProfileCache) -> _Output:
         f"torsion profile: {_seq_text(forward)}",
         f"torsion profile (mirror): {_seq_text(backward)}",
         f"first vanishing index: {len(forward) - 1}",
-        f"t: {_t_from_profile(backward)}",
+        f"t: {t_from_profile(backward)}",
     ]
     results = {
         "sigma": sigma,
@@ -247,7 +244,7 @@ def _cmd_invariants(args, cache: ProfileCache) -> _Output:
         "vi": list(forward),
         "vi_mirror": list(backward),
         "nu_plus": len(forward) - 1,
-        "t": _t_from_profile(backward),
+        "t": t_from_profile(backward),
     }
     info = {"command": "invariants", "expression": canonical, "genus_cap": args.genus_cap}
     return _Output(info, lines, results)
@@ -308,8 +305,13 @@ def _cmd_d_invariant(args, cache: ProfileCache) -> _Output:
     n = args.n
     if n == 0:
         raise ValueError("surgery framing must be nonzero")
-    compute = d_invariant if n > 0 else d_invariant_negative
-    values = [compute(expr, n, k, args.genus_cap) for k in range(abs(n))]
+    # Negative framings read the mirror's profile and flip the sign.
+    if n > 0:
+        profile = cache.profile(expr, args.genus_cap)
+        values = [d_from_profile(profile, n, k) for k in range(n)]
+    else:
+        profile = cache.profile(mirror(expr), args.genus_cap)
+        values = [-d_from_profile(profile, -n, k) for k in range(-n)]
     lines = [
         f"expression: {_display_expr(canonical)}",
         f"framing: {n}",
@@ -338,7 +340,7 @@ def _cmd_omega(args, cache: ProfileCache) -> _Output:
     witness = 0
     for n in range(1, args.max_n + 1):
         profile = cache.profile(mirror(multiply(expr, n)), args.genus_cap)
-        t_n = _t_from_profile(profile)
+        t_n = t_from_profile(profile)
         ratio = Fraction(t_n, n)
         if best is None or ratio < best:
             best, witness = ratio, n

@@ -355,16 +355,25 @@ def vi_expr(
     raise UnsupportedExpressionError(plan.reason)
 
 
+def profile_at(values: tuple[int, ...], index: int) -> int:
+    """``V_index`` of a torsion profile; indices past its end count as zero."""
+    return values[index] if index < len(values) else 0
+
+
+def t_from_profile(profile: tuple[int, ...]) -> int:
+    """``min_m { m + 2 V_m }`` over a torsion profile ``V_0, ..., 0``.
+
+    The minimum is reached within the profile: past its end every ``V_m``
+    is zero and ``m`` alone already exceeds the last candidate.
+    """
+    return min(m + 2 * v for m, v in enumerate(profile))
+
+
 def t_invariant(
     expr: KnotExpression, genus_cap: int = DEFAULT_GENUS_CAP
 ) -> int:
-    """The packaged invariant ``min_m { m + 2 V_m(mirror) }``.
-
-    The minimum is reached within the computed profile: past its end every
-    ``V_m`` is zero and ``m`` alone already exceeds the last candidate.
-    """
-    values = vi_expr(mirror(expr), genus_cap)
-    return min(m + 2 * v for m, v in enumerate(values))
+    """The packaged invariant ``min_m { m + 2 V_m(mirror) }``."""
+    return t_from_profile(vi_expr(mirror(expr), genus_cap))
 
 
 def hom_wu_nu_plus(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expressions import KnotExpression, mirror
-from .nuplus import DEFAULT_GENUS_CAP, vi_expr
+from .nuplus import DEFAULT_GENUS_CAP, profile_at, vi_expr
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,10 @@ class SpincLabel:
             )
 
 
-def _profile_at(values: tuple[int, ...], index: int) -> int:
-    return values[index] if index < len(values) else 0
+def d_from_profile(values: tuple[int, ...], n: int, k: int) -> Fraction:
+    """The correction term formula for ``n > 0``, given the torsion profile."""
+    quadratic = Fraction((2 * k - n) ** 2 - n, 4 * n)
+    return quadratic - 2 * max(profile_at(values, k), profile_at(values, n - k))
 
 
 def d_invariant(
@@ -53,9 +55,7 @@ def d_invariant(
     if n < 1:
         raise ValueError("framing must be positive; use d_invariant_negative")
     SpincLabel(n, k)
-    values = vi_expr(expr, genus_cap)
-    quadratic = Fraction(-(n - (2 * k - n) ** 2), 4 * n)
-    return quadratic - 2 * max(_profile_at(values, k), _profile_at(values, n - k))
+    return d_from_profile(vi_expr(expr, genus_cap), n, k)
 
 
 def d_invariant_negative(

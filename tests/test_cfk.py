@@ -216,20 +216,24 @@ def _every_level(c: BifilteredComplex) -> list[BifilteredComplex]:
     ]
 
 
+def _sample_complexes() -> list[BifilteredComplex]:
+    t23, t25 = torus_staircase(2, 3), torus_staircase(2, 5)
+    return [
+        torus_staircase(3, 5),
+        tensor(t23, t25),
+        # T(2,3) + T(3,4) - T(2,5)
+        tensor(tensor(t23, torus_staircase(3, 4)), dual(t25)),
+        # T(3,4) - 2*T(5,6) as the oracle assembles it: 405 generators
+        tensor(tensor(dual(torus_staircase(5, 6)), dual(torus_staircase(5, 6))),
+               torus_staircase(3, 4)),
+    ]
+
+
 def test_backends_agree_on_homology_structure():
     """``graded_snf`` makes exactly the pivot choices of the NumPy reference:
     identical (pivot_row, pivot_col, pivot_degree) triples at every level."""
-    t23, t25 = torus_staircase(2, 3), torus_staircase(2, 5)
     samples = [
-        *_every_level(torus_staircase(3, 5)),
-        *_every_level(tensor(t23, t25)),
-        # T(2,3) + T(3,4) - T(2,5)
-        *_every_level(tensor(tensor(t23, torus_staircase(3, 4)), dual(t25))),
-        # T(3,4) - 2*T(5,6) as the oracle assembles it: 405 generators
-        *_every_level(
-            tensor(tensor(dual(torus_staircase(5, 6)), dual(torus_staircase(5, 6))),
-                   torus_staircase(3, 4))
-        ),
+        *(sub for c in _sample_complexes() for sub in _every_level(c)),
         BifilteredComplex(("x",), (0,), (0,), ((),)),
     ]
     assert max(len(c) for c in samples) == 405
@@ -245,6 +249,75 @@ def test_backends_agree_on_homology_structure():
         _kernels._graded_snf_numpy(_kernels.pack_bit_rows(0, []), empty),
     ):
         assert [x.tolist() for x in res] == [[], [], []]
+
+
+def _assert_level_homology_matches_subcomplex(c: BifilteredComplex) -> None:
+    for s in range(min(c.alexander) - 1, max(c.alexander) + 2):
+        assert homology_over_polynomial_ring(c, s) == homology_over_polynomial_ring(
+            subcomplex_at_level(c, s)
+        ), s
+
+
+def test_level_homology_matches_subcomplex():
+    """Level homology from the packed pattern is the homology of the
+    validated ``subcomplex_at_level`` reference, level by level."""
+    samples = _sample_complexes()
+    assert max(len(c) for c in samples) == 405
+    for c in samples:
+        _assert_level_homology_matches_subcomplex(c)
+
+
+def _small_tensors(draw) -> BifilteredComplex:
+    """A tensor of one to three staircases and duals, of at most 150 generators."""
+    knots = st.sampled_from([(2, 3), (2, 5), (3, 4), (2, 7), (3, 5)])
+    pieces = draw(st.lists(st.tuples(knots, st.booleans()), min_size=1, max_size=3))
+    c = None
+    for (p, q), mirrored in pieces:
+        piece = torus_staircase(p, q)
+        piece = dual(piece) if mirrored else piece
+        if c is not None and len(c) * len(piece) > 150:
+            break
+        c = piece if c is None else tensor(c, piece)
+    return c
+
+
+small_tensors = st.composite(_small_tensors)
+
+
+@given(small_tensors())
+@settings(max_examples=60, deadline=None)
+def test_level_homology_matches_subcomplex_on_small_tensors(c):
+    _assert_level_homology_matches_subcomplex(c)
+
+
+def test_packed_pattern_leaves_equality_and_hash_alone():
+    def build():
+        return tensor(torus_staircase(2, 3), dual(torus_staircase(3, 4)))
+
+    c = build()
+    vi_sequence(c)
+    assert "_pattern" in vars(c)  # packed by the first level
+    rows = c._pattern.rows
+    assert c == build() and hash(c) == hash(build())
+    assert c._pattern.rows is rows  # packed once, then reused
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+
+
+def test_level_homology_rejects_negative_shifted_exponent():
+    # x -> y with A(y) - e > A(x), built past validation: at level 0 the
+    # shifted exponent 0 + 0 - 5 is negative.
+    bad = object.__new__(BifilteredComplex)
+    for name, value in (
+        ("ids", ("x", "y")),
+        ("maslov", (0, -1)),
+        ("alexander", (0, 5)),
+        ("arrows", (((0, 1),), ())),
+    ):
+        object.__setattr__(bad, name, value)
+    with pytest.raises(ValueError, match="negative arrow exponent"):
+        homology_over_polynomial_ring(bad, 0)
 
 
 def _dict_reference_check(ids, maslov, alexander, arrows) -> None:
@@ -280,15 +353,7 @@ def _dict_reference_check(ids, maslov, alexander, arrows) -> None:
 def maybe_corrupted_fields(draw):
     """Fields of a small tensor of staircases and duals, with at most one
     arrow dropped, retargeted or added."""
-    knots = st.sampled_from([(2, 3), (2, 5), (3, 4), (2, 7), (3, 5)])
-    pieces = draw(st.lists(st.tuples(knots, st.booleans()), min_size=1, max_size=3))
-    c = None
-    for (p, q), mirrored in pieces:
-        piece = torus_staircase(p, q)
-        piece = dual(piece) if mirrored else piece
-        if c is not None and len(c) * len(piece) > 150:
-            break
-        c = piece if c is None else tensor(c, piece)
+    c = _small_tensors(draw)
     arrows = [list(terms) for terms in c.arrows]
     n = len(c)
     kind = draw(st.sampled_from(["none", "drop", "retarget", "add"]))

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
+import gamma4.cli
+import gamma4.surgery
 from gamma4.cli import main
+from gamma4.expressions import parse
+from gamma4.nuplus import vi_expr
+from gamma4.surgery import d_invariant, d_invariant_negative
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +108,28 @@ def test_d_invariant_zero_framing(capsys):
     code, _, err = run_cli(capsys, "d-invariant", "T(2,3)", "0")
     assert code == 2
     assert "nonzero" in err
+
+
+@pytest.mark.parametrize("n", [12, -12])
+def test_d_invariant_computes_one_profile(capsys, monkeypatch, n):
+    """All |N| correction terms come from one profile, and match the library."""
+    text = "T(2,3) + T(3,4) - T(2,5)"
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return vi_expr(*args, **kwargs)
+
+    monkeypatch.setattr(gamma4.cli, "vi_expr", counted)
+    monkeypatch.setattr(gamma4.surgery, "vi_expr", counted)
+    code, out, _ = run_cli(capsys, "--json", "d-invariant", text, str(n))
+    monkeypatch.undo()
+    assert code == 0
+    assert len(calls) == 1
+    compute = d_invariant if n > 0 else d_invariant_negative
+    expected = [compute(parse(text), n, k) for k in range(abs(n))]
+    got = [Fraction(d["num"], d["den"]) for d in json.loads(out)["results"]["d"]]
+    assert got == expected
 
 
 def test_omega_headline_rows(capsys):
