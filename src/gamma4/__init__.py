@@ -66,8 +66,6 @@ from .semigroups import (
     FormalSemigroup,
     MalformedSequenceError,
     NotCoprimeError,
-    enumerating,
-    vi_of,
 )
 from .surgery import SpincLabel, d_invariant, d_invariant_negative
 from .torus import alexander, signature, signature_expr, vi_lspace
@@ -101,7 +99,6 @@ __all__ = [
     "d_invariant",
     "d_invariant_negative",
     "dual",
-    "enumerating",
     "euler_obstruction",
     "genus_obstruction",
     "hom_wu_nu_plus",
@@ -132,7 +129,6 @@ __all__ = [
     "verify_staircase2n",
     "vi_expr",
     "vi_lspace",
-    "vi_of",
     "vi_sequence",
     "vi_tensor_oracle",
 ]

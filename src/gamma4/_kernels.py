@@ -1,16 +1,9 @@
 """Hot integer kernels: exact integer computation, never floating point.
 
-The graded elimination ``graded_snf`` has one implementation, on Python-int
-bitsets; ``_graded_snf_numpy`` is the NumPy reference it is tested against.
-The sieve, signature and profile-grid kernels each ship a numba-jitted core
-and a pure-NumPy twin implementing the identical algorithm.  Their backend
-is chosen once at import time:
-
-* default: numba-jitted kernels when numba imports cleanly;
-* ``GAMMA4_NO_NUMBA=1`` (or any value other than ``0``/empty): the
-  pure-NumPy twins.
-
-``benchmarks/bench_kernels.py`` times those twins against each other.
+Each kernel has one implementation.  The graded elimination ``graded_snf``
+runs on Python-int bitsets; ``_graded_snf_numpy`` is the NumPy reference it
+is tested against.  The sieve, signature and profile-grid kernels are plain
+NumPy.
 
 The central kernel diagonalizes boundary matrices over the one-variable
 polynomial ring with mod-2 coefficients.  Because the boundary map is
@@ -30,23 +23,10 @@ the direct-sum decomposition).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("GAMMA4_NO_NUMBA", "").strip() not in ("", "0")
-
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on environment
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+#: Which kernel implementation runs; benchmark reports record it.
+BACKEND = "numpy"
 
 
 def pack_bit_rows(n: int, entries) -> np.ndarray:
@@ -237,67 +217,20 @@ def graded_snf(rows: np.ndarray, grading: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _sieve_members_numpy(a: int, b: int, limit: int) -> np.ndarray:
-    """Mark every m*a + n*b below ``limit`` using strided slice writes."""
+def sieve_members(a: int, b: int, limit: int) -> np.ndarray:
+    """uint8 membership array for the semigroup generated by a and b on [0, limit).
+
+    Every m*a + n*b below ``limit`` is marked by strided slice writes.
+    """
     members = np.zeros(max(0, limit), dtype=np.uint8)
     for base in range(0, limit, a):
         members[base::b] = 1
     return members
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _sieve_members_numba(a, b, limit):  # pragma: no cover - jitted
-        members = np.zeros(max(0, limit), dtype=np.uint8)
-        base = 0
-        while base < limit:
-            x = base
-            while x < limit:
-                members[x] = 1
-                x += b
-            base += a
-        return members
-
-
-def sieve_members(a: int, b: int, limit: int) -> np.ndarray:
-    """uint8 membership array for the semigroup generated by a and b on [0, limit)."""
-    if limit <= 0:
-        return np.zeros(0, dtype=np.uint8)
-    if HAVE_NUMBA:
-        return _sieve_members_numba(a, b, limit)
-    return _sieve_members_numpy(a, b, limit)
-
-
 # ---------------------------------------------------------------------------
 # Torus knot signature lattice count
 # ---------------------------------------------------------------------------
-
-
-def _signature_count_numpy(p: int, q: int) -> int:
-    a = np.arange(1, p, dtype=np.int64)[:, None]
-    b = np.arange(1, q, dtype=np.int64)[None, :]
-    x = 2 * (a * q + b * p)
-    pq = p * q
-    inside = (x > pq) & (x < 3 * pq)
-    return int((p - 1) * (q - 1) - 2 * int(inside.sum()))
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _signature_count_numba(p, q):  # pragma: no cover - jitted
-        pq = p * q
-        sig = 0
-        for a in range(1, p):
-            aq2 = 2 * a * q
-            for b in range(1, q):
-                x = aq2 + 2 * b * p
-                if pq < x < 3 * pq:
-                    sig -= 1
-                else:
-                    sig += 1
-        return sig
 
 
 def signature_count(p: int, q: int) -> int:
@@ -309,38 +242,17 @@ def signature_count(p: int, q: int) -> int:
     p = 2m with q odd, a = m and then b = 0, and both odd makes the sides
     differ in parity; similarly for 3pq).
     """
-    if HAVE_NUMBA:
-        return int(_signature_count_numba(p, q))
-    return _signature_count_numpy(p, q)
+    a = np.arange(1, p, dtype=np.int64)[:, None]
+    b = np.arange(1, q, dtype=np.int64)[None, :]
+    x = 2 * (a * q + b * p)
+    pq = p * q
+    inside = (x > pq) & (x < 3 * pq)
+    return int((p - 1) * (q - 1) - 2 * int(inside.sum()))
 
 
 # ---------------------------------------------------------------------------
 # Difference-profile maximum for the closed-form invariant grid
 # ---------------------------------------------------------------------------
-
-
-def _max_gap_profile_numpy(gam_a: np.ndarray, gam_b: np.ndarray, v_count: int) -> np.ndarray:
-    k = gam_b.shape[0]
-    out = np.empty(v_count, dtype=np.int64)
-    for v in range(v_count):
-        out[v] = int((gam_b - gam_a[v : v + k]).max())
-    return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _max_gap_profile_numba(gam_a, gam_b, v_count):  # pragma: no cover - jitted
-        k = gam_b.shape[0]
-        out = np.empty(v_count, dtype=np.int64)
-        for v in range(v_count):
-            best = gam_b[0] - gam_a[v]
-            for t in range(1, k):
-                cur = gam_b[t] - gam_a[v + t]
-                if cur > best:
-                    best = cur
-            out[v] = best
-        return out
 
 
 def max_gap_profile(gam_a: np.ndarray, gam_b: np.ndarray, v_count: int) -> np.ndarray:
@@ -354,6 +266,8 @@ def max_gap_profile(gam_a: np.ndarray, gam_b: np.ndarray, v_count: int) -> np.nd
         return np.zeros(0, dtype=np.int64)
     if gam_a.shape[0] < gam_b.shape[0] + v_count - 1:
         raise ValueError("gam_a too short for requested profile length")
-    if HAVE_NUMBA:
-        return _max_gap_profile_numba(gam_a, gam_b, v_count)
-    return _max_gap_profile_numpy(gam_a, gam_b, v_count)
+    k = gam_b.shape[0]
+    out = np.empty(v_count, dtype=np.int64)
+    for v in range(v_count):
+        out[v] = int((gam_b - gam_a[v : v + k]).max())
+    return out

@@ -23,14 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .expressions import KnotExpression, mirror, multiply
 from .nuplus import (
     DEFAULT_GENUS_CAP,
     profile_at,
     t_from_profile,
-    t_invariant,
     vi_expr,
 )
 from .torus import signature_expr, vi_lspace
@@ -119,8 +118,7 @@ def nu_plus_bound(
 
 def upsilon_torus(p: int, q: int) -> int:
     """Value of the upsilon invariant at its midpoint for a positive T(p, q)."""
-    values = vi_lspace(p, q)
-    return -min(n + 2 * v for n, v in enumerate(values))
+    return -t_from_profile(vi_lspace(p, q))
 
 
 def upsilon_expr(expr: KnotExpression) -> int:
@@ -285,6 +283,29 @@ def genus_obstruction(
 # ---------------------------------------------------------------------------
 
 
+def _omega_table(
+    expr: KnotExpression,
+    horizon: int,
+    profile_of: Callable[[KnotExpression], tuple[int, ...]],
+) -> tuple[list[tuple[int, int, Fraction, Fraction]], OmegaEstimate]:
+    """Rows ``(n, t(n E), t(n E)/n, running minimum)`` for ``1 <= n <= horizon``.
+
+    Also returns the least ratio with the first ``n`` that attains it.
+    ``t(n E)`` is read off ``profile_of(mirror(n E))``, so callers choose
+    where profiles come from (the CLI reads them through its cache).
+    """
+    rows = []
+    best: Fraction | None = None
+    witness = 1
+    for n in range(1, horizon + 1):
+        t = t_from_profile(profile_of(mirror(multiply(expr, n))))
+        ratio = Fraction(t, n)
+        if best is None or ratio < best:
+            best, witness = ratio, n
+        rows.append((n, t, ratio, best))
+    return rows, OmegaEstimate(value=best, witness=witness)
+
+
 def omega_upper(
     expr: KnotExpression, horizon: int, genus_cap: int = DEFAULT_GENUS_CAP
 ) -> OmegaEstimate:
@@ -295,13 +316,7 @@ def omega_upper(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    best: Fraction | None = None
-    witness = 1
-    for n in range(1, horizon + 1):
-        value = Fraction(t_invariant(multiply(expr, n), genus_cap), n)
-        if best is None or value < best:
-            best, witness = value, n
-    return OmegaEstimate(value=best, witness=witness)
+    return _omega_table(expr, horizon, lambda e: vi_expr(e, genus_cap))[1]
 
 
 def stable_bound(

@@ -39,15 +39,14 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .bounds import report, thin_bounds
+from .bounds import _omega_table, report, thin_bounds
 from .expressions import (
     KnotExpression,
     mirror,
-    multiply,
     parse,
     render,
     split_parts,
@@ -103,8 +102,8 @@ class ProfileCache:
 
     The store is a single JSON object mapping ``"<expression>|vi"`` to the
     profile; writes go through a sibling temporary file and an atomic
-    rename.  Routing still runs on every lookup, so a hit can never mask
-    an error or return anything a cold run would not.
+    rename.  A hit is routed again before it is returned, so it can never
+    mask an error or return anything a cold run would not.
     """
 
     def __init__(self, path: str | None) -> None:
@@ -116,14 +115,14 @@ class ProfileCache:
                 self.data = _checked_cache_data(json.load(handle))
 
     def profile(self, expr: KnotExpression, genus_cap: int) -> tuple[int, ...]:
-        plan = route(expr, genus_cap)
-        if plan.kind == "unsupported":
-            raise UnsupportedExpressionError(plan.reason)
         key = f"{render(expr)}|vi"
         hit = self.data.get(key)
         if hit is not None:
+            plan = route(expr, genus_cap)
+            if plan.kind == "unsupported":
+                raise UnsupportedExpressionError(plan.reason)
             return tuple(hit)
-        value = vi_expr(expr, genus_cap)
+        value = vi_expr(expr, genus_cap)  # routes, and refuses, by itself
         self.data[key] = list(value)
         self.dirty = True
         return value
@@ -335,16 +334,14 @@ def _cmd_omega(args, cache: ProfileCache) -> _Output:
     canonical = render(expr)
     if args.max_n < 1:
         raise ValueError("--max-n must be at least 1")
-    rows = []
-    best: Fraction | None = None
-    witness = 0
-    for n in range(1, args.max_n + 1):
-        profile = cache.profile(mirror(multiply(expr, n)), args.genus_cap)
-        t_n = t_from_profile(profile)
-        ratio = Fraction(t_n, n)
-        if best is None or ratio < best:
-            best, witness = ratio, n
-        rows.append({"n": n, "t": t_n, "ratio": ratio, "running_min": best})
+    table, estimate = _omega_table(
+        expr, args.max_n, lambda e: cache.profile(e, args.genus_cap)
+    )
+    rows = [
+        {"n": n, "t": t, "ratio": ratio, "running_min": running}
+        for n, t, ratio, running in table
+    ]
+    best, witness = estimate.value, estimate.witness
     strictly_decreasing = all(
         rows[i]["ratio"] < rows[i - 1]["ratio"] for i in range(1, len(rows))
     )

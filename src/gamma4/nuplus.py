@@ -62,7 +62,6 @@ from .semigroups import (
     UNKNOT_SEMIGROUP,
     FormalSemigroup,
     MalformedSequenceError,
-    vi_of,
 )
 from .torus import representative
 
@@ -204,7 +203,7 @@ def _reduce_side(
             reduced = FormalSemigroup.from_vi(profile)
         except MalformedSequenceError:
             return None, "iterated reduction produced no formal semigroup"
-        if vi_of(reduced) != profile:
+        if reduced.vi != profile:
             return None, "iterated reduction round-trip mismatch"
         current = reduced
     return current, ""
@@ -288,14 +287,15 @@ def _complex_route(
     return VRoute(kind="complex", genus=total, reason=preface)
 
 
-def _tensor_profile(pieces: list[BifilteredComplex]) -> tuple[int, ...]:
+def _fold(pieces: list[BifilteredComplex]) -> BifilteredComplex:
+    """Tensor the pieces left to right, longest first; the unknot if none."""
     if not pieces:
-        return (0,)
+        return staircase_from_semigroup(UNKNOT_SEMIGROUP)
     pieces.sort(key=len, reverse=True)
     acc = pieces[0]
     for nxt in pieces[1:]:
         acc = tensor(acc, nxt)
-    return vi_sequence(acc)
+    return acc
 
 
 def tensor_complex(expr: KnotExpression) -> BifilteredComplex:
@@ -311,18 +311,7 @@ def tensor_complex(expr: KnotExpression) -> BifilteredComplex:
     pieces += [
         dual(staircase_from_semigroup(s)) for s in _part_factors(negative)
     ]
-    if not pieces:
-        return staircase_from_semigroup(UNKNOT_SEMIGROUP)
-    pieces.sort(key=len, reverse=True)
-    acc = pieces[0]
-    for nxt in pieces[1:]:
-        acc = tensor(acc, nxt)
-    return acc
-
-
-def _vi_by_complex(expr: KnotExpression) -> tuple[int, ...]:
-    """Torsion profile read off the assembled tensor complex."""
-    return vi_sequence(tensor_complex(expr))
+    return _fold(pieces)
 
 
 def vi_tensor_oracle(expr: KnotExpression) -> tuple[int, ...]:
@@ -340,7 +329,7 @@ def vi_tensor_oracle(expr: KnotExpression) -> tuple[int, ...]:
     for knot, count in negative:
         sg = FormalSemigroup.from_generators(knot.p, knot.q)
         pieces.extend([dual(staircase_from_semigroup(sg))] * count)
-    return _tensor_profile(pieces)
+    return vi_sequence(_fold(pieces))
 
 
 def vi_expr(
@@ -351,7 +340,7 @@ def vi_expr(
     if plan.kind == "closed-form":
         return vi_from_nuplus(plan.positive, plan.negative)
     if plan.kind == "complex":
-        return _vi_by_complex(expr)
+        return vi_sequence(tensor_complex(expr))
     raise UnsupportedExpressionError(plan.reason)
 
 

@@ -181,11 +181,6 @@ class FormalSemigroup:
 UNKNOT_SEMIGROUP = FormalSemigroup(())
 
 
-def enumerating(semigroup: FormalSemigroup, k: int) -> int:
-    """Module-level alias for :meth:`FormalSemigroup.enumerating`."""
-    return semigroup.enumerating(k)
-
-
 def enumerating_bruteforce(a: int, b: int, k: int) -> int:
     """Independent check of ``enumerating``: direct sieve, then count upward.
 
@@ -215,8 +210,3 @@ def enumerating_bruteforce(a: int, b: int, k: int) -> int:
             if seen == k:
                 return x
     raise AssertionError("sieve window too small")  # pragma: no cover
-
-
-def vi_of(semigroup: FormalSemigroup) -> tuple[int, ...]:
-    """Module-level alias for :attr:`FormalSemigroup.vi`."""
-    return semigroup.vi

@@ -35,7 +35,7 @@ from .nuplus import (
     vi_expr,
     vi_tensor_oracle,
 )
-from .semigroups import FormalSemigroup, enumerating_bruteforce, vi_of
+from .semigroups import FormalSemigroup, enumerating_bruteforce
 from .surgery import d_invariant, d_invariant_negative
 from .torus import alexander, vi_lspace
 
@@ -373,7 +373,7 @@ def check_oracles() -> list[VerifyCheck]:
     roundtrip_mismatch: list[str] = []
     for a, b in pairs:
         sg = FormalSemigroup.from_generators(a, b)
-        if FormalSemigroup.from_vi(vi_of(sg)) != sg:
+        if FormalSemigroup.from_vi(sg.vi) != sg:
             roundtrip_mismatch.append(f"<{a},{b}>")
     checks.append(
         _tally(

@@ -15,8 +15,8 @@ from gamma4.bounds import report
 from gamma4.cfk import trefoil_staircase, vi_sequence
 from gamma4.expressions import parse
 
-# Warm the persistent JIT kernel cache once, so the timed criteria
-# measure the computation rather than one-off compilation.
+# Run the closed-form and complex paths once, so the timed criteria
+# measure the computation rather than one-off imports and set-up.
 report(parse("T(2,3) - T(2,5)"))
 vi_sequence(trefoil_staircase())
 

@@ -8,10 +8,12 @@ from fractions import Fraction
 import pytest
 
 import gamma4.cli
+import gamma4.nuplus
 import gamma4.surgery
+from gamma4.bounds import omega_upper
 from gamma4.cli import main
-from gamma4.expressions import parse
-from gamma4.nuplus import vi_expr
+from gamma4.expressions import multiply, parse
+from gamma4.nuplus import route, t_invariant, vi_expr
 from gamma4.surgery import d_invariant, d_invariant_negative
 
 
@@ -143,6 +145,23 @@ def test_omega_headline_rows(capsys):
     assert rows[25] == ("131", "131/25")
 
 
+def test_omega_rows_match_library(capsys):
+    """Each row's t and the running minimum agree with the library."""
+    expr = parse("T(2,3) - T(5,6)")
+    code, out, _ = run_cli(
+        capsys, "--json", "omega", "T(2,3) - T(5,6)", "--max-n", "25"
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [row["t"] for row in results["rows"]] == [
+        t_invariant(multiply(expr, n)) for n in range(1, 26)
+    ]
+    estimate = omega_upper(expr, 25)
+    bound = results["upper_bound"]
+    assert Fraction(bound["num"], bound["den"]) == estimate.value
+    assert results["witness"] == estimate.witness
+
+
 def test_omega_torus_constant_ratio(capsys):
     code, out, _ = run_cli(capsys, "omega", "T(3,-5)", "--max-n", "8")
     assert code == 0
@@ -219,6 +238,40 @@ def test_cache_hits_are_bit_identical(tmp_path, capsys):
     )
     assert code == 0
     assert "t: 6" in out
+
+
+@pytest.mark.parametrize(
+    "argv, routes",
+    [
+        (("invariants", "T(2,3) + T(2,5) + T(3,4) + T(2,7)"), 2),
+        (("omega", "T(2,3) - T(5,6)", "--max-n", "8"), 8),
+    ],
+)
+def test_cold_profiles_are_routed_once(capsys, monkeypatch, argv, routes):
+    """A cache miss routes its expression once, inside ``vi_expr``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return route(*args, **kwargs)
+
+    monkeypatch.setattr(gamma4.cli, "route", counted)
+    monkeypatch.setattr(gamma4.nuplus, "route", counted)
+    code, _, _ = run_cli(capsys, "--json", *argv)
+    monkeypatch.undo()
+    assert code == 0
+    assert len(calls) == routes
+
+
+def test_cache_hits_are_routed_again(tmp_path, capsys):
+    """A stored profile never masks a refusal under a tighter genus cap."""
+    store = tmp_path / "cache.json"
+    args = ("invariants", "T(2,3) + T(2,5)", "--cache", str(store))
+    code, _, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, _, err = run_cli(capsys, *args, "--genus-cap", "2")
+    assert code == 3
+    assert "cap" in err
 
 
 def test_cache_rejects_malformed_file(tmp_path, capsys):

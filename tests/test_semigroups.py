@@ -11,9 +11,7 @@ from gamma4.semigroups import (
     FormalSemigroup,
     MalformedSequenceError,
     NotCoprimeError,
-    enumerating,
     enumerating_bruteforce,
-    vi_of,
 )
 
 
@@ -37,8 +35,8 @@ def test_from_generators_errors():
 
 
 def test_enumerating_values():
-    assert enumerating(FormalSemigroup.from_generators(2, 11), 3) == 6
-    assert enumerating(FormalSemigroup.from_generators(5, 26), 7) == 30
+    assert FormalSemigroup.from_generators(2, 11).enumerating(3) == 6
+    assert FormalSemigroup.from_generators(5, 26).enumerating(7) == 30
     for s in (UNKNOT_SEMIGROUP, FormalSemigroup.from_generators(3, 5)):
         assert s.enumerating(0) == 0
 
@@ -106,7 +104,7 @@ coprime_pairs = (
 @settings(max_examples=60, deadline=None)
 def test_enumerating_agrees_with_bruteforce(ab, k):
     a, b = ab
-    assert enumerating(FormalSemigroup.from_generators(a, b), k) == enumerating_bruteforce(a, b, k)
+    assert FormalSemigroup.from_generators(a, b).enumerating(k) == enumerating_bruteforce(a, b, k)
 
 
 @given(coprime_pairs)
@@ -129,7 +127,7 @@ def test_structural_invariants(ab):
 @settings(max_examples=60, deadline=None)
 def test_vi_round_trip(ab):
     s = FormalSemigroup.from_generators(*ab)
-    seq = vi_of(s)
+    seq = s.vi
     assert seq[-1] == 0 and len(seq) == s.genus + 1
     assert all(cur - nxt in (0, 1) for cur, nxt in zip(seq, seq[1:]))
     assert FormalSemigroup.from_vi(seq) == s
