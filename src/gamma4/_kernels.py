@@ -220,11 +220,14 @@ def graded_snf(rows: np.ndarray, grading: np.ndarray):
 def sieve_members(a: int, b: int, limit: int) -> np.ndarray:
     """uint8 membership array for the semigroup generated by a and b on [0, limit).
 
-    Every m*a + n*b below ``limit`` is marked by strided slice writes.
+    Every m*a + n*b below ``limit`` is marked by strided slice writes: one
+    per multiple of the larger generator, striding by the smaller one, so
+    the Python loop runs ``limit / max(a, b)`` times.
     """
+    small, large = sorted((a, b))
     members = np.zeros(max(0, limit), dtype=np.uint8)
-    for base in range(0, limit, a):
-        members[base::b] = 1
+    for base in range(0, limit, large):
+        members[base::small] = 1
     return members
 
 
@@ -255,10 +258,33 @@ def signature_count(p: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: Cells per block of the profile grid: bounds the temporaries of one step.
+GRID_BLOCK_CELLS = 1 << 16
+#: Profiles at least this long are evaluated one run start at a time, on
+#: contiguous slices; shorter ones as a 2-D gather over many run starts.
+#: Must not exceed ``GRID_BLOCK_CELLS``, so that a gather block holds a row.
+#: Near 1000 levels the two cost the same: about 2 us of Python per slice
+#: against about 2.5 ns per cell more for the gather.
+ROW_BLOCK_MIN_LEVELS = 1 << 10
+
+
 def max_gap_profile(gam_a: np.ndarray, gam_b: np.ndarray, v_count: int) -> np.ndarray:
     """out[v] = max over k of gam_b[k] - gam_a[k + v], for v in [0, v_count).
 
-    Requires ``len(gam_a) >= len(gam_b) + v_count - 1``.
+    Requires ``len(gam_a) >= len(gam_b) + v_count - 1`` and ``gam_a``
+    strictly increasing (``ValueError`` otherwise).
+
+    Only the run starts of ``gam_b`` are read: the ``k`` with ``k = 0`` or
+    ``gam_b[k] != gam_b[k - 1] + 1``.  Inside a run ``gam_b`` rises by
+    exactly 1 per step while ``gam_a`` rises by at least 1, so
+    ``gam_b[k + 1] - gam_a[k + 1 + v] <= gam_b[k] - gam_a[k + v]``: the
+    maximum over a run is attained at its start, for every ``v``.
+
+    The grid of run starts times levels is evaluated in blocks of at most
+    ``GRID_BLOCK_CELLS`` cells, never one level at a time: one run start
+    times a contiguous slice of levels when ``v_count`` reaches
+    ``ROW_BLOCK_MIN_LEVELS``, otherwise as many run starts as fit times
+    every level.
     """
     gam_a = np.ascontiguousarray(gam_a, dtype=np.int64)
     gam_b = np.ascontiguousarray(gam_b, dtype=np.int64)
@@ -266,8 +292,24 @@ def max_gap_profile(gam_a: np.ndarray, gam_b: np.ndarray, v_count: int) -> np.nd
         return np.zeros(0, dtype=np.int64)
     if gam_a.shape[0] < gam_b.shape[0] + v_count - 1:
         raise ValueError("gam_a too short for requested profile length")
-    k = gam_b.shape[0]
-    out = np.empty(v_count, dtype=np.int64)
-    for v in range(v_count):
-        out[v] = int((gam_b - gam_a[v : v + k]).max())
+    if (gam_a[1:] <= gam_a[:-1]).any():
+        raise ValueError("gam_a must be strictly increasing")
+    if gam_b.shape[0] == 0:
+        raise ValueError("gam_b must be nonempty")
+    # k = 0 starts the first run and seeds ``out``; the rest are listed.
+    out = gam_b[0] - gam_a[:v_count]
+    starts = np.flatnonzero(gam_b[1:] != gam_b[:-1] + 1) + 1
+    tops = gam_b[starts]
+    if v_count >= ROW_BLOCK_MIN_LEVELS:
+        for k, top in zip(starts.tolist(), tops.tolist()):
+            for v0 in range(0, v_count, GRID_BLOCK_CELLS):
+                v1 = min(v0 + GRID_BLOCK_CELLS, v_count)
+                np.maximum(out[v0:v1], top - gam_a[k + v0 : k + v1], out=out[v0:v1])
+        return out
+    levels = np.arange(v_count, dtype=np.int64)
+    rows = GRID_BLOCK_CELLS // v_count
+    for lo in range(0, starts.shape[0], rows):
+        ks = starts[lo : lo + rows, None]
+        block = tops[lo : lo + rows, None] - gam_a[ks + levels]
+        np.maximum(out, block.max(axis=0), out=out)
     return out

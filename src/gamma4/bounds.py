@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable
 
 from .expressions import KnotExpression, mirror, multiply
@@ -171,16 +172,34 @@ def report(
     expr: KnotExpression,
     horizon: int | None = None,
     genus_cap: int = DEFAULT_GENUS_CAP,
+    profile_of: Callable[[KnotExpression], tuple[int, ...]] | None = None,
 ) -> BoundReport:
-    """Full bound report; ``horizon`` enables the stable bound over n <= horizon."""
+    """Full bound report; ``horizon`` enables the stable bound over n <= horizon.
+
+    Every torsion profile comes from ``profile_of`` (by default ``vi_expr``
+    under ``genus_cap``; the CLI passes its cache).  The mirror profile of
+    ``expr`` is computed once and serves both the per-index table and the
+    ``n = 1`` row of the stable bound.
+    """
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if profile_of is None:
+        profile_of = partial(vi_expr, genus_cap=genus_cap)
+    back_expr = mirror(expr)
+    back_profile = profile_of(back_expr)
+    sigma = signature_expr(expr)
     stable = witness = None
     if horizon is not None:
-        estimate = omega_upper(expr, horizon, genus_cap)
-        stable = signature_expr(expr) // 2 - estimate.value
+        _, estimate = _omega_table(
+            expr,
+            horizon,
+            lambda e: back_profile if e == back_expr else profile_of(e),
+        )
+        stable = sigma // 2 - estimate.value
         witness = estimate.witness
     return _assemble(
-        sigma=signature_expr(expr),
-        back_profile=vi_expr(mirror(expr), genus_cap),
+        sigma=sigma,
+        back_profile=back_profile,
         upsilon_value=upsilon_expr(expr),
         stable=stable,
         stable_witness=witness,

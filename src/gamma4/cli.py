@@ -286,7 +286,12 @@ def _bound_lines_results(rep, decimal: bool) -> tuple[list[str], dict]:
 def _cmd_bound(args, cache: ProfileCache) -> _Output:
     expr = parse(args.expr)
     canonical = render(expr)
-    rep = report(expr, horizon=args.stable, genus_cap=args.genus_cap)
+    rep = report(
+        expr,
+        horizon=args.stable,
+        genus_cap=args.genus_cap,
+        profile_of=lambda e: cache.profile(e, args.genus_cap),
+    )
     body, results = _bound_lines_results(rep, args.decimal)
     lines = [f"expression: {_display_expr(canonical)}"] + body
     info = {

@@ -45,6 +45,7 @@ for every shortcut above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -121,27 +122,49 @@ def nu_plus_v(a: FormalSemigroup, b: FormalSemigroup, v: int) -> int:
 
 
 def _nu_profile(a: FormalSemigroup, b: FormalSemigroup) -> np.ndarray:
-    """Vector of ``nu_plus_v(a, b, v)`` for ``v = 0 .. V_0`` (ends at 0)."""
+    """Vector of ``nu_plus_v(a, b, v)`` for ``v = 0 .. V_0`` (ends at 0).
+
+    Only the levels up to the first zero are evaluated.  That index comes
+    straight from the counting function of ``a``: ``Gamma_A(j) >= c`` iff
+    ``j >= #{s in A : s < c}``, so every term ``g_A - g_B + Gamma_B(k) -
+    Gamma_A(k + v)`` is at most 0 iff ``v >= #{s in A : s < Gamma_B(k) +
+    g_A - g_B} - k``, and the first zero is the largest of these bounds
+    (at least 0, and at most ``g_A`` because ``Gamma_B(k) <= k + g_B``).
+    ``nu_plus_v`` does not increase in ``v``, so the grid ends there; a
+    grid whose last value is not its only zero is a bug and raises
+    ``AssertionError``.  ``max_gap_profile`` reads only the run starts of
+    ``Gamma_B`` (see its docstring for why that is exact).
+    """
     ga, gb = a.genus, b.genus
-    v_max = ga  # the profile provably vanishes for v >= genus(a)
-    gam_a = a.enumerating_prefix(gb + v_max + 1)
+    gam_a = a.enumerating_prefix(gb + ga + 1)
     gam_b = b.enumerating_prefix(gb + 1)
-    raw = _kernels.max_gap_profile(gam_a, gam_b, v_max + 1)
+    targets = gam_b + (ga - gb)
+    below = np.where(
+        targets >= 2 * ga, targets - ga, np.searchsorted(gam_a[:ga], targets)
+    )
+    first_zero = max(0, int((below - np.arange(gb + 1)).max()))
+    raw = _kernels.max_gap_profile(
+        gam_a[: gb + first_zero + 1], gam_b, first_zero + 1
+    )
     nus = np.maximum(raw + (ga - gb), 0)
-    first_zero = int(np.argmax(nus == 0))
-    return nus[: first_zero + 1]
+    if nus[-1] != 0 or (first_zero > 0 and nus[-2] <= 0):
+        raise AssertionError(
+            f"closed-form grid does not end at its first zero ({first_zero})"
+        )
+    return nus
 
 
 def _invert_profile(nus: np.ndarray) -> tuple[int, ...]:
-    """Recover ``V_m = min{v : nu_plus_v <= m}`` from a profile ending at 0."""
-    m_max = int(nus[0])
-    values = [0] * (m_max + 1)
-    v = 0
-    for m in range(m_max, -1, -1):
-        while nus[v] > m:
-            v += 1
-        values[m] = v
-    return tuple(values)
+    """Recover ``V_m = min{v : nu_plus_v <= m}`` from a profile ending at 0.
+
+    ``nu_plus`` does not increase, so ``V_m = v`` exactly for the ``m`` in
+    ``[nus[v], nus[v - 1])``, reading ``nus[-1]`` as ``nus[0] + 1``.  Each
+    value is one int object repeated over its span, so a long profile holds
+    one int object per level ``v``, not one per entry.
+    """
+    upper = np.concatenate(([nus[0] + 1], nus[:-1]))
+    spans = (upper - nus)[::-1].tolist()
+    return tuple(chain.from_iterable(map(repeat, range(len(nus) - 1, -1, -1), spans)))
 
 
 def vi_from_nuplus(a: FormalSemigroup, b: FormalSemigroup) -> tuple[int, ...]:

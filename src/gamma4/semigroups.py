@@ -69,7 +69,7 @@ class FormalSemigroup:
         from . import _kernels
 
         members = _kernels.sieve_members(a, b, 2 * genus)
-        return cls(tuple(int(x) for x in np.nonzero(members)[0]))
+        return cls(tuple(np.flatnonzero(members).tolist()))
 
     @classmethod
     def from_vi(cls, values) -> "FormalSemigroup":

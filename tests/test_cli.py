@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import gamma4.bounds
 import gamma4.cli
 import gamma4.nuplus
 import gamma4.surgery
@@ -132,6 +133,37 @@ def test_d_invariant_computes_one_profile(capsys, monkeypatch, n):
     expected = [compute(parse(text), n, k) for k in range(abs(n))]
     got = [Fraction(d["num"], d["den"]) for d in json.loads(out)["results"]["d"]]
     assert got == expected
+
+
+def test_bound_stable_computes_each_profile_once(capsys, monkeypatch):
+    """The table and the n = 1 row of the stable bound share one profile."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return vi_expr(*args, **kwargs)
+
+    monkeypatch.setattr(gamma4.cli, "vi_expr", counted)
+    monkeypatch.setattr(gamma4.bounds, "vi_expr", counted)
+    code, _, _ = run_cli(capsys, "--json", "bound", "T(2,3) - T(5,6)", "--stable", "50")
+    monkeypatch.undo()
+    assert code == 0
+    assert len(calls) == 50
+    assert len(set(calls)) == 50
+
+
+def test_bound_stable_uses_the_cache(tmp_path, capsys):
+    store = tmp_path / "cache.json"
+    args = ("--json", "bound", "T(2,3) - T(5,6)", "--stable", "5")
+    code, cold, _ = run_cli(capsys, *args, "--cache", str(store))
+    assert code == 0
+    stored = json.loads(store.read_text())
+    assert len(stored) == 5
+    assert stored["-T(2,3) + T(5,6)|vi"] == list(vi_expr(parse("T(5,6) - T(2,3)")))
+    code, warm, _ = run_cli(capsys, *args, "--cache", str(store))
+    assert code == 0
+    code, plain, _ = run_cli(capsys, *args)
+    assert cold == warm == plain
 
 
 def test_omega_headline_rows(capsys):

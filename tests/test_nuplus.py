@@ -2,15 +2,19 @@
 
 import random
 from math import gcd
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gamma4 import _kernels
 from gamma4.cfk import vi_sequence
 from gamma4.expressions import KnotExpression, parse
 from gamma4.nuplus import (
     UnsupportedExpressionError,
+    _nu_profile,
     hom_wu_nu_plus,
     nu_plus_v,
     route,
@@ -158,8 +162,6 @@ def test_degenerate_closed_form_matches_torsion_formula(ab):
 @given(semigroups, semigroups)
 @settings(max_examples=30, deadline=None)
 def test_profile_shape(a, b):
-    from gamma4.nuplus import _nu_profile
-
     nus = _nu_profile(a, b)
     assert nus[-1] == 0
     assert all(x >= y for x, y in zip(nus, nus[1:]))  # non-increasing
@@ -206,3 +208,107 @@ def test_oracle_family_largest_case():
     expr = max(family, key=tensor_size)
     assert vi_expr(expr) == vi_tensor_oracle(expr), expr
 
+
+# ---------------------------------------------------------------------------
+# The closed-form grid: first-zero cut and run-start cut
+# ---------------------------------------------------------------------------
+
+
+def max_gap_reference(gam_a, gam_b, v_count: int) -> list[int]:
+    """Every k at every v, in plain Python."""
+    b = [int(x) for x in gam_b]
+    a = [int(x) for x in gam_a]
+    return [max(b[k] - a[k + v] for k in range(len(b))) for v in range(v_count)]
+
+
+def nu_profile_full_grid(a: FormalSemigroup, b: FormalSemigroup) -> np.ndarray:
+    """Every level up to ``genus(a)`` and every ``k``, cut after the first zero."""
+    ga, gb = a.genus, b.genus
+    gam_a = a.enumerating_prefix(gb + ga + 1)
+    gam_b = b.enumerating_prefix(gb + 1)
+    raw = np.array(
+        [int((gam_b - gam_a[v : v + gb + 1]).max()) for v in range(ga + 1)],
+        dtype=np.int64,
+    )
+    nus = np.maximum(raw + (ga - gb), 0)
+    return nus[: int(np.argmax(nus == 0)) + 1]
+
+
+def increasing_with_runs(steps):
+    """A strictly increasing sequence from (jump, run length) pairs."""
+    out, x = [], -1
+    for jump, length in steps:
+        x += jump
+        out.extend(range(x, x + length))
+        x += length - 1
+    return out
+
+
+runs = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=12)),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(
+    runs,
+    runs,
+    st.integers(min_value=1, max_value=40),
+    # (GRID_BLOCK_CELLS, ROW_BLOCK_MIN_LEVELS): small blocks, both paths
+    st.sampled_from([(3, 1), (64, 8), (64, 64), (1 << 16, 1 << 10)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_max_gap_profile_matches_every_cell(b_runs, a_runs, v_count, block):
+    cells, row_min = block
+    gam_b = np.array(increasing_with_runs(b_runs), dtype=np.int64)
+    head = increasing_with_runs(a_runs)
+    need = len(gam_b) + v_count - 1
+    gam_a = np.array(head + list(range(head[-1] + 1, head[-1] + 1 + need)), dtype=np.int64)
+    with mock.patch.object(_kernels, "GRID_BLOCK_CELLS", cells), mock.patch.object(
+        _kernels, "ROW_BLOCK_MIN_LEVELS", row_min
+    ):
+        got = _kernels.max_gap_profile(gam_a, gam_b, v_count)
+    assert got.tolist() == max_gap_reference(gam_a, gam_b, v_count)
+
+
+def test_max_gap_profile_long_profile_uses_rows():
+    # past ROW_BLOCK_MIN_LEVELS levels, and past one block of levels per row
+    a = FormalSemigroup.from_generators(3, 1000)
+    b = FormalSemigroup.from_generators(2, 7)
+    v_count = 1500
+    gam_a = a.enumerating_prefix(b.genus + v_count)
+    gam_b = b.enumerating_prefix(b.genus + 1)
+    want = max_gap_reference(gam_a, gam_b, v_count)
+    assert _kernels.max_gap_profile(gam_a, gam_b, v_count).tolist() == want
+    with mock.patch.object(_kernels, "GRID_BLOCK_CELLS", 100):
+        assert _kernels.max_gap_profile(gam_a, gam_b, v_count).tolist() == want
+
+
+def test_max_gap_profile_rejects_non_increasing_gam_a():
+    gam_b = np.array([0, 2, 3], dtype=np.int64)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _kernels.max_gap_profile(np.array([0, 2, 2, 5], dtype=np.int64), gam_b, 2)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _kernels.max_gap_profile(np.array([0, 3, 1, 5], dtype=np.int64), gam_b, 2)
+
+
+@given(
+    st.one_of(st.just(UNKNOT_SEMIGROUP), semigroups),
+    st.one_of(st.just(UNKNOT_SEMIGROUP), semigroups),
+)
+@settings(max_examples=80, deadline=None)
+def test_nu_profile_matches_full_grid(a, b):
+    for top, bottom in ((a, b), (b, a)):
+        assert _nu_profile(top, bottom).tolist() == nu_profile_full_grid(top, bottom).tolist()
+
+
+@pytest.mark.parametrize(
+    "pos, neg",
+    [((41, 5001), (9, 250)), ((5, 26), (2, 11)), ((5, 1301), (2, 521)), ((2, 3), None)],
+)
+def test_nu_profile_matches_full_grid_on_large_pairs(pos, neg):
+    a = FormalSemigroup.from_generators(*pos)
+    b = FormalSemigroup.from_generators(*neg) if neg else UNKNOT_SEMIGROUP
+    for top, bottom in ((a, b), (b, a)):
+        assert _nu_profile(top, bottom).tolist() == nu_profile_full_grid(top, bottom).tolist()

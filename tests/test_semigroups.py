@@ -2,10 +2,12 @@
 
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gamma4 import _kernels
 from gamma4.semigroups import (
     UNKNOT_SEMIGROUP,
     FormalSemigroup,
@@ -131,3 +133,23 @@ def test_vi_round_trip(ab):
     assert seq[-1] == 0 and len(seq) == s.genus + 1
     assert all(cur - nxt in (0, 1) for cur, nxt in zip(seq, seq[1:]))
     assert FormalSemigroup.from_vi(seq) == s
+
+
+@given(coprime_pairs, st.integers(min_value=0, max_value=400))
+@settings(max_examples=60, deadline=None)
+def test_sieve_is_symmetric_and_matches_bruteforce(ab, limit):
+    a, b = ab
+    members = _kernels.sieve_members(a, b, limit)
+    assert np.array_equal(members, _kernels.sieve_members(b, a, limit))
+    expected = []
+    k = 0
+    while (x := enumerating_bruteforce(a, b, k)) < limit:
+        expected.append(x)
+        k += 1
+    assert np.flatnonzero(members).tolist() == expected
+
+
+def test_from_generators_elements_are_python_ints():
+    s = FormalSemigroup.from_generators(6, 61)
+    assert all(type(x) is int for x in s.elements)
+    assert s.elements == tuple(enumerating_bruteforce(6, 61, k) for k in range(s.genus))
