@@ -25,8 +25,9 @@ Global flags work before or after the subcommand: ``--json`` emits the
 stable machine schema, ``--decimal`` adds six-significant-digit decimal
 renderings marked inexact, ``--cache FILE`` memoises torsion profiles
 across invocations without ever changing a value, and ``--genus-cap G``
-bounds the total genus the router will expand into a tensor complex
-(closed-form staircase pairs are exempt; they never expand).
+bounds the total genus the router will expand into a tensor complex.  A
+one-sided sum of several knots folds by infimal convolution and never
+expands, but obeys the same cap; closed-form staircase pairs are exempt.
 
 Exit codes: 0 success, 1 failed verification, 2 usage or parse error,
 3 structurally unsupported expression.
@@ -54,6 +55,7 @@ from .expressions import (
 from .nuplus import (
     DEFAULT_GENUS_CAP,
     UnsupportedExpressionError,
+    _generator_excess,
     route,
     t_from_profile,
     tensor_complex,
@@ -430,6 +432,10 @@ def _cmd_cfk_dump(args, cache: ProfileCache) -> _Output:
     plan = route(expr, args.genus_cap)
     if plan.kind == "unsupported":
         raise UnsupportedExpressionError(plan.reason)
+    # a closed-form route builds no complex, but the dump always does
+    excess = _generator_excess(expr)
+    if excess:
+        raise UnsupportedExpressionError(excess)
     text = tensor_complex(expr).dump()
     info = {
         "command": "cfk-dump",

@@ -15,10 +15,11 @@ The router in this module decides, per expression, when that formula is
 trustworthy.  Three situations qualify:
 
 * one side is empty — then the formula degenerates to reading off the
-  torsion profile of the other side, and an iterated staircase reduction of
-  that side (tensor two staircases, recover a formal semigroup from the
-  resulting profile, repeat) is exact by construction, because only the
-  profile matters;
+  torsion profile of the other side, and only that profile matters.  For a
+  connected sum of L-space knots it is an infimal convolution of the
+  factors' profiles, so the side folds to one formal semigroup by a
+  min-plus convolution of their counting functions.  The fold never builds
+  a complex, but a side of several factors still obeys the genus cap;
 * both sides are single two-generator semigroups — genuine torus-knot
   staircases, the case the formula is stated for;
 * ``n`` identical copies of an adjacent-parameter knot ``T(p, p+1)`` stand
@@ -33,11 +34,11 @@ expressions are routed to the direct tensor computation instead, and the
 test suite cross-checks the closed form against that oracle wherever both
 apply; any disagreement is a hard failure, never a silent fallback.
 
-The adjacent-parameter substitution is stronger than the iterated
-reduction: it holds at the level of the underlying filtered complex (the
-power's complex splits as the collapsed staircase plus acyclic pieces), so
-the direct tensor path applies it inside arbitrary tensor contexts to keep
-generator counts down.  ``vi_tensor_oracle`` deliberately does not — it
+The adjacent-parameter substitution is stronger than the fold: it holds
+at the level of the underlying filtered complex (the power's complex
+splits as the collapsed staircase plus acyclic pieces), so the direct
+tensor path applies it inside arbitrary tensor contexts to keep generator
+counts down.  ``vi_tensor_oracle`` deliberately does not — it
 builds one staircase per copy and serves as the independent cross-check
 for every shortcut above.
 """
@@ -59,11 +60,7 @@ from .cfk import (
     vi_sequence,
 )
 from .expressions import KnotExpression, mirror, split_parts
-from .semigroups import (
-    UNKNOT_SEMIGROUP,
-    FormalSemigroup,
-    MalformedSequenceError,
-)
+from .semigroups import UNKNOT_SEMIGROUP, FormalSemigroup
 from .torus import representative
 
 DEFAULT_GENUS_CAP = 60
@@ -88,13 +85,13 @@ class VRoute:
 
     * ``"closed-form"`` — the sides reduced to the formal semigroups
       ``positive`` / ``negative`` and the two-sided enumerating-function
-      formula applies: one side is trivial, or both sides are single
-      two-generator semigroups (a lone summand, or ``n`` copies of
-      ``T(p, p+1)`` collapsed to ``T(p, pn+1)``).
+      formula applies: one side is trivial and the other folds by infimal
+      convolution, or both sides are single two-generator semigroups (a
+      lone summand, or ``n`` copies of ``T(p, p+1)`` collapsed to
+      ``T(p, pn+1)``).  No complex is built.
     * ``"complex"`` — several different staircases share a side while the
-      other side is nonempty, or a one-sided reduction failed its
-      round-trip check; direct tensor computation over ``genus`` total
-      genus.
+      other side is nonempty; direct tensor computation over ``genus``
+      total genus.
     * ``"unsupported"`` — the work would exceed the genus cap or the
       generator limit; ``reason`` says which.
     """
@@ -197,39 +194,39 @@ def _part_factors(part: KnotExpression) -> list[FormalSemigroup]:
     return factors
 
 
-def _reduce_side(
-    factors: list[FormalSemigroup], genus_cap: int
-) -> tuple[FormalSemigroup | None, str]:
-    """Collapse one side of a difference to a single formal semigroup.
+def _factor_count(part: KnotExpression) -> int:
+    """How many factors ``_part_factors`` returns, counted without building them."""
+    return sum(1 if knot.q == knot.p + 1 else count for knot, count in part)
 
-    Only valid when the other side is empty: the iterated reduction
-    preserves the torsion profile (each step is round-trip checked) but not
-    the filtered structure a two-sided computation would need.  Returns
-    ``(semigroup, "")`` or ``(None, reason)``; the reduction is subject to
-    ``genus_cap``, and a round-trip failure is reported so the router can
-    fall back to the direct computation.
+
+def _infimal_fold(factors: list[FormalSemigroup]) -> FormalSemigroup:
+    """The formal semigroup with the torsion profile of the sum of ``factors``.
+
+    For a connected sum of L-space knots the counting function
+    ``I(m) = #{s in S : s < m}`` is the infimal convolution of the factors'
+    (Borodzik–Livingston, arXiv:1304.1062): ``I(m) = min_i (I_A(i) +
+    I_B(m - i))`` with genus ``g_A + g_B``, and the members below ``2g`` are
+    the ``m`` with ``I(m + 1) > I(m)``.  Past its conductor a factor's
+    ``I`` rises at every step, so no larger ``i`` can lower the minimum.
+    The filtered structure is lost, so this holds only for one-sided sums.
     """
-    if not factors:
-        return UNKNOT_SEMIGROUP, ""
-    if len(factors) == 1:
-        return factors[0], ""
-    total_genus = sum(s.genus for s in factors)
-    if total_genus > genus_cap:
-        return None, f"reduced genus {total_genus} exceeds the cap {genus_cap}"
-    current = factors[0]
-    for nxt in factors[1:]:
-        product = tensor(
-            staircase_from_semigroup(current), staircase_from_semigroup(nxt)
+    if len(factors) == 1:  # a lone factor may have genus 10^5: no O(g^2) pass
+        return factors[0]
+    genus = sum(s.genus for s in factors)
+    m = np.arange(2 * genus + 1)
+    acc = m  # the unknot's counting function
+    for s in factors:
+        step = np.searchsorted(s.enumerating_prefix(2 * genus - s.genus), m)
+        folded = acc.copy()
+        for i in range(1, min(s.conductor, 2 * genus) + 1):
+            np.minimum(folded[i:], step[i] + acc[: acc.size - i], out=folded[i:])
+        acc = folded
+    members = np.flatnonzero(np.diff(acc) > 0)
+    if members.size != genus:
+        raise AssertionError(
+            f"infimal fold has {members.size} members below 2g, not g = {genus}"
         )
-        profile = vi_sequence(product)
-        try:
-            reduced = FormalSemigroup.from_vi(profile)
-        except MalformedSequenceError:
-            return None, "iterated reduction produced no formal semigroup"
-        if reduced.vi != profile:
-            return None, "iterated reduction round-trip mismatch"
-        current = reduced
-    return current, ""
+    return FormalSemigroup(tuple(members.tolist()))
 
 
 def _tensor_generator_count(expr: KnotExpression) -> int:
@@ -242,44 +239,38 @@ def _tensor_generator_count(expr: KnotExpression) -> int:
 
 
 def route(expr: KnotExpression, genus_cap: int = DEFAULT_GENUS_CAP) -> VRoute:
-    """Decide how to compute the torsion profile of ``expr``."""
+    """Decide how to compute the torsion profile of ``expr``.
+
+    Budgets are checked from the term counts before any factor is built.
+    """
     positive, negative = split_parts(expr)
-    pos_factors = _part_factors(positive)
-    neg_factors = _part_factors(negative)
-
-    if len(pos_factors) <= 1 and len(neg_factors) <= 1:
-        sg_pos = pos_factors[0] if pos_factors else UNKNOT_SEMIGROUP
-        sg_neg = neg_factors[0] if neg_factors else UNKNOT_SEMIGROUP
-        return VRoute(kind="closed-form", positive=sg_pos, negative=sg_neg)
-
-    if not pos_factors or not neg_factors:
-        factors = pos_factors or neg_factors
-        reduced, why = _reduce_side(factors, genus_cap)
-        if reduced is not None:
-            if pos_factors:
-                return VRoute(
-                    kind="closed-form",
-                    positive=reduced,
-                    negative=UNKNOT_SEMIGROUP,
-                )
-            return VRoute(
-                kind="closed-form",
-                positive=UNKNOT_SEMIGROUP,
-                negative=reduced,
-            )
-        if "cap" in why:
-            return VRoute(kind="unsupported", reason=why)
-        return _complex_route(
-            expr, positive, negative, genus_cap, preface=why
+    sides = (_factor_count(positive), _factor_count(negative))
+    if min(sides) > 0 and max(sides) > 1:
+        return _complex_route(expr, positive, negative, genus_cap)
+    part = positive if sides[0] else negative
+    if max(sides) > 1 and part.total_genus > genus_cap:
+        # an adjacent power has the genus of its representative, so this is
+        # the genus of the reduced side
+        return VRoute(
+            kind="unsupported",
+            reason=f"reduced genus {part.total_genus} exceeds the cap {genus_cap}",
         )
-
-    return _complex_route(
-        expr,
-        positive,
-        negative,
-        genus_cap,
-        preface="several different staircases share a side",
+    return VRoute(
+        kind="closed-form",
+        positive=_infimal_fold(_part_factors(positive)),
+        negative=_infimal_fold(_part_factors(negative)),
     )
+
+
+def _generator_excess(expr: KnotExpression) -> str:
+    """Why the tensor complex of ``expr`` is too big, or ``""`` if it is not."""
+    generators = _tensor_generator_count(expr)
+    if generators > COMPLEX_GENERATOR_LIMIT:
+        return (
+            f"the tensor complex would need {generators} "
+            f"generators (limit {COMPLEX_GENERATOR_LIMIT})"
+        )
+    return ""
 
 
 def _complex_route(
@@ -287,9 +278,9 @@ def _complex_route(
     positive: KnotExpression,
     negative: KnotExpression,
     genus_cap: int,
-    preface: str,
 ) -> VRoute:
     """Route to the direct tensor computation, budget permitting."""
+    preface = "several different staircases share a side"
     total = positive.total_genus + negative.total_genus
     if total > genus_cap:
         return VRoute(
@@ -298,15 +289,9 @@ def _complex_route(
                 f"{preface}; total genus {total} exceeds the cap {genus_cap}"
             ),
         )
-    generators = _tensor_generator_count(expr)
-    if generators > COMPLEX_GENERATOR_LIMIT:
-        return VRoute(
-            kind="unsupported",
-            reason=(
-                f"{preface}; the tensor complex would need {generators} "
-                f"generators (limit {COMPLEX_GENERATOR_LIMIT})"
-            ),
-        )
+    excess = _generator_excess(expr)
+    if excess:
+        return VRoute(kind="unsupported", reason=f"{preface}; {excess}")
     return VRoute(kind="complex", genus=total, reason=preface)
 
 

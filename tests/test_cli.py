@@ -76,6 +76,26 @@ def test_genus_cap_flag_limits_expansion(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("invariants",), ("bound",), ("d-invariant", "5"), ("omega", "--max-n", "3")],
+)
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("1000000000*T(2,5)", "reduced genus 2000000000 exceeds the cap 60"),
+        (
+            "1000000000*T(2,5) - T(2,3)",
+            "several different staircases share a side; "
+            "total genus 2000000001 exceeds the cap 60",
+        ),
+    ],
+)
+def test_huge_coefficients_are_refused_at_once(capsys, argv, text, reason):
+    code, out, err = run_cli(capsys, argv[0], text, *argv[1:])
+    assert (code, out, err) == (3, "", f"unsupported: {reason}\n")
+
+
 def test_bound_headline_with_stable(capsys):
     code, out, _ = run_cli(
         capsys, "bound", "T(2,3)-T(5,6)", "--stable", "50"
@@ -367,6 +387,20 @@ def test_cfk_dump_trefoil(capsys):
         "y2 -> U^0 y3",
         "y2 -> U^1 y1",
     ]
+
+
+@pytest.mark.parametrize(
+    "text, generators",
+    [("7*T(2,5)", 78125), ("8*T(2,5)", 390625)],
+)
+def test_cfk_dump_obeys_generator_limit(capsys, text, generators):
+    # one-sided sums route to the closed form, but the dump builds the complex
+    code, out, err = run_cli(capsys, "cfk-dump", text)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"unsupported: the tensor complex would need {generators} "
+        "generators (limit 40000)\n"
+    )
 
 
 def test_missing_subcommand_is_usage_error(capsys):

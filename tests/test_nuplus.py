@@ -1,6 +1,7 @@
 """Tests for the closed-form torsion profiles and the expression router."""
 
 import random
+from itertools import combinations_with_replacement, permutations
 from math import gcd
 from unittest import mock
 
@@ -9,12 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gamma4.cfk
+import gamma4.nuplus
 from gamma4 import _kernels
 from gamma4.cfk import vi_sequence
-from gamma4.expressions import KnotExpression, parse
+from gamma4.expressions import KnotExpression, mirror, parse
 from gamma4.nuplus import (
     UnsupportedExpressionError,
+    _infimal_fold,
     _nu_profile,
+    _tensor_generator_count,
     hom_wu_nu_plus,
     nu_plus_v,
     route,
@@ -83,21 +88,88 @@ def test_route_kinds():
     assert plan.kind == "closed-form"
     assert plan.positive == FormalSemigroup.from_generators(2, 11)
     assert plan.negative == FormalSemigroup.from_generators(5, 26)
-    # one-sided sums may still use the iterated reduction
+    # one-sided sums fold by infimal convolution, still under the genus cap
     assert route(parse("T(2,3) + T(3,5)")).kind == "closed-form"
     assert route(parse("-T(2,3) - T(3,5)")).kind == "closed-form"
     # several different staircases against a nonempty other side do not
     mixed = route(parse("T(2,3) + T(3,5) - T(2,5)"))
     assert mixed.kind == "complex"
     assert mixed.genus == 7
-    tight = route(parse("T(2,3) + T(3,5)"), genus_cap=3)
-    assert tight.kind == "unsupported"
+    for text in ("T(2,3) + T(3,5)", "-T(2,3) - T(3,5)"):
+        tight = route(parse(text), genus_cap=3)
+        assert tight.kind == "unsupported"
+        assert tight.reason == "reduced genus 5 exceeds the cap 3"
     with pytest.raises(UnsupportedExpressionError):
         vi_expr(parse("T(2,3) + T(3,5)"), genus_cap=3)
     # the direct path respects the genus cap too
     assert route(parse("T(2,3) + T(3,5) - T(2,5)"), genus_cap=6).kind == (
         "unsupported"
     )
+
+
+def test_one_sided_route_builds_no_complex(monkeypatch):
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (gamma4.cfk, gamma4.nuplus):
+        for name in ("tensor", "vi_sequence"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(
+        FormalSemigroup,
+        "from_vi",
+        staticmethod(counted("from_vi", FormalSemigroup.from_vi)),
+    )
+    for text in ("T(2,5) + T(3,4)", "-T(2,5) - T(3,4)", "T(7,9) + T(8,11)",
+                 "T(2,3) + T(2,5) + T(3,4) + T(2,7)", "3*T(2,5) + 2*T(3,4)"):
+        assert route(parse(text)).kind == "closed-form"
+    assert calls == []
+
+
+ONE_SIDED_KNOTS = [
+    parse(s).terms[0][0]
+    for s in ["T(2,3)", "T(2,5)", "T(2,7)", "T(2,9)", "T(3,4)",
+              "T(3,5)", "T(3,7)", "T(4,5)", "T(5,6)"]
+]
+
+
+def one_sided_sums(low: int, high: int) -> list[KnotExpression]:
+    """Sums of 2 and 3 of the knots above whose tensor complex (adjacent
+    powers collapsed) has more than ``low`` and at most ``high`` generators."""
+    out = []
+    for size in (2, 3):
+        for combo in combinations_with_replacement(ONE_SIDED_KNOTS, size):
+            expr = KnotExpression.from_terms((knot, 1) for knot in combo)
+            if low < _tensor_generator_count(expr) <= high:
+                out.append(expr)
+    return out
+
+
+@pytest.mark.parametrize(
+    "low, high", [(0, 405), pytest.param(405, 729, marks=pytest.mark.slow)]
+)
+def test_infimal_fold_matches_tensor_oracle(low, high):
+    # together the two budgets cover every sum of 2 and 3 of the nine knots
+    for expr in one_sided_sums(low, high):
+        for signed in (expr, mirror(expr)):
+            assert vi_expr(signed) == vi_tensor_oracle(signed), signed
+
+
+def test_infimal_fold_identities():
+    factors = [FormalSemigroup.from_generators(k.p, k.q) for k in ONE_SIDED_KNOTS]
+    assert _infimal_fold([]) == UNKNOT_SEMIGROUP
+    for a in factors:
+        assert _infimal_fold([a, UNKNOT_SEMIGROUP]) == a
+        assert _infimal_fold([UNKNOT_SEMIGROUP, a]) == a
+        for b in factors:
+            assert _infimal_fold([a, b]) == _infimal_fold([b, a])
+    triple = factors[1], factors[4], factors[8]
+    assert len({_infimal_fold(list(order)) for order in permutations(triple)}) == 1
 
 
 def test_route_generator_limit():
