@@ -3,7 +3,12 @@
 Each kernel has one implementation.  The graded elimination ``graded_snf``
 runs on Python-int bitsets; ``_graded_snf_numpy`` is the NumPy reference it
 is tested against.  The sieve, signature and profile-grid kernels are plain
-NumPy.
+NumPy.  This module owns the bitset format: ``pack_bit_rows`` packs a
+pattern into uint64 bit rows, and ``unpack_bit_rows`` turns those into the
+Python-int row and column bitsets that ``graded_snf`` eliminates on.  A
+caller that runs one pattern under many gradings unpacks it once and passes
+the pair as ``graded_snf(..., bits=...)``; the pivot rule does not depend
+on where the bitsets came from.
 
 The central kernel diagonalizes boundary matrices over the one-variable
 polynomial ring with mod-2 coefficients.  Because the boundary map is
@@ -46,6 +51,28 @@ def pack_bit_rows(n: int, entries) -> np.ndarray:
     bits = np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
     np.bitwise_or.at(rows, (i, j >> 6), bits)
     return rows
+
+
+def unpack_bit_rows(rows: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Python-int row and column bitsets of square uint64 bit rows.
+
+    Bit j of the i-th row bitset, and bit i of the j-th column bitset, is
+    set iff bit j of row i is set.  ``rows`` is left unchanged.
+    """
+    n, words = rows.shape
+    stride = 8 * words
+    raw = np.ascontiguousarray(rows, dtype="<u8").tobytes()
+    row_bits = tuple(
+        int.from_bytes(raw[k : k + stride], "little") for k in range(0, n * stride, stride)
+    )
+    col_bits = [0] * n
+    for i, bits in enumerate(row_bits):
+        flag = 1 << i
+        while bits:
+            low = bits & -bits
+            col_bits[low.bit_length() - 1] |= flag
+            bits ^= low
+    return row_bits, tuple(col_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -126,36 +153,33 @@ def _first_extreme(bits: int, classes) -> int:
     raise AssertionError("empty bit set; this is a bug")
 
 
-def graded_snf(rows: np.ndarray, grading: np.ndarray):
+def graded_snf(
+    rows: np.ndarray,
+    grading: np.ndarray,
+    *,
+    bits: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+):
     """Diagonalize a graded mod-2 boundary matrix; returns pivot data.
 
     ``rows`` (uint64 bit rows from ``pack_bit_rows``, left unchanged) encodes
-    the nonzero pattern; entry degrees are implied by ``grading``.  Returns
-    int64 arrays ``(pivot_row, pivot_col, pivot_degree)``.
+    the nonzero pattern; entry degrees are implied by ``grading``.  ``bits``
+    is ``unpack_bit_rows(rows)``, passed by callers that eliminate one
+    pattern under many gradings; without it ``rows`` is unpacked here.
+    Returns int64 arrays ``(pivot_row, pivot_col, pivot_degree)``.
 
-    The elimination runs on Python-int bitsets: one int per row, one per
-    column, and an active-row and an active-column mask.  It makes exactly
-    the pivot choices of ``_graded_snf_numpy`` (first index of minimal row
-    grading, first index of maximal column grading, same fixpoint, same row
-    XOR), so both return identical triples.
+    The elimination runs on copies of those bitsets, plus an active-row and
+    an active-column mask.  It makes exactly the pivot choices of
+    ``_graded_snf_numpy`` (first index of minimal row grading, first index
+    of maximal column grading, same fixpoint, same row XOR), so both return
+    identical triples.
     """
     n = len(grading)
     empty = np.zeros(0, dtype=np.int64)
     if n == 0:
         return empty, empty.copy(), empty.copy()
     grade = np.asarray(grading, dtype=np.int64).tolist()
-    stride = 8 * rows.shape[1]
-    raw = np.ascontiguousarray(rows[:n], dtype="<u8").tobytes()
-    row_bits = [
-        int.from_bytes(raw[k : k + stride], "little") for k in range(0, n * stride, stride)
-    ]
-    col_bits = [0] * n
-    for i, bits in enumerate(row_bits):
-        flag = 1 << i
-        while bits:
-            low = bits & -bits
-            col_bits[low.bit_length() - 1] |= flag
-            bits ^= low
+    row_bits, col_bits = unpack_bit_rows(rows[:n]) if bits is None else bits
+    row_bits, col_bits = list(row_bits), list(col_bits)
     by_grade: dict[int, int] = {}
     for k, value in enumerate(grade):
         by_grade[value] = by_grade.get(value, 0) | (1 << k)

@@ -13,16 +13,17 @@ Staircase complexes model L-space knots; duals model mirrors; tensor
 products model connected sums.  Homology over the polynomial ring is exact
 Smith normal form: because arrows are Maslov-homogeneous, every matrix entry
 is a forced monomial and the reduction runs on bit rows (see ``_kernels``).
-Each complex packs those bit rows once, on first use.
+Each complex packs those bit rows, and unpacks them into Python-int row and
+column bitsets, once, on first use.
 
 The torsion invariants ``V_s`` drop out of the homology of the subcomplexes
 at each filtration level, making this module the independent oracle for all
 closed-form counting paths.  Truncating at level ``s`` moves gradings and
 arrow exponents but never changes which generators an arrow joins, and it
 preserves all three invariants.  So level homology is read off the parent's
-packed pattern with shifted gradings, with no subcomplex built or checked
-again; ``subcomplex_at_level`` builds that subcomplex explicitly, validated,
-as the reference.
+packed pattern and its bitsets with shifted gradings, with no subcomplex
+built, checked or unpacked again; ``subcomplex_at_level`` builds that
+subcomplex explicitly, validated, as the reference.
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ Arrow = tuple[int, int]  # (U-exponent, target generator index)
 
 
 class _Pattern(NamedTuple):
-    """A complex's boundary pattern as read-only arrays, built once."""
+    """A complex's boundary pattern, built once, on first use: read-only
+    arrays, and the bit rows unpacked into Python-int bitsets."""
 
     rows: np.ndarray  # uint64 bit rows: bit src of row tgt set per arrow
+    bits: tuple[tuple[int, ...], tuple[int, ...]]  # unpack_bit_rows(rows)
     src: np.ndarray  # one entry per arrow
     tgt: np.ndarray
     exponent: np.ndarray
@@ -116,7 +119,7 @@ class BifilteredComplex:
                 src.append(s)
                 tgt.append(t)
                 exponent.append(e)
-        pattern = _Pattern(
+        arrays = dict(
             rows=_kernels.pack_bit_rows(len(self), list(zip(tgt, src))),
             src=np.array(src, dtype=np.int64),
             tgt=np.array(tgt, dtype=np.int64),
@@ -124,9 +127,9 @@ class BifilteredComplex:
             maslov=np.array(self.maslov, dtype=np.int64),
             alexander=np.array(self.alexander, dtype=np.int64),
         )
-        for array in pattern:
+        for array in arrays.values():
             array.flags.writeable = False
-        return pattern
+        return _Pattern(bits=_kernels.unpack_bit_rows(arrays["rows"]), **arrays)
 
     def index_of(self, gen_id: str) -> int:
         return self.ids.index(gen_id)
@@ -254,14 +257,18 @@ def tensor(left: BifilteredComplex, right: BifilteredComplex) -> BifilteredCompl
             ids.append(f"{left.ids[i]}*{right.ids[j]}")
             maslov.append(left.maslov[i] + right.maslov[j])
             alexander.append(left.alexander[i] + right.alexander[j])
+            # A left arrow moves only i and a right arrow only j, so two
+            # duplicate-free factors give duplicate-free terms: sorting is
+            # all the canonical form needs.
             terms = [(e, idx(t, j)) for e, t in left.arrows[i]]
             terms += [(e, idx(i, t)) for e, t in right.arrows[j]]
-            arrows.append(terms)
+            terms.sort()
+            arrows.append(tuple(terms))
     return BifilteredComplex(
         ids=tuple(ids),
         maslov=tuple(maslov),
         alexander=tuple(alexander),
-        arrows=_canonical_arrows(arrows),
+        arrows=tuple(arrows),
     )
 
 
@@ -378,7 +385,9 @@ def homology_over_polynomial_ring(
         if (pattern.exponent + shift[pattern.src] < shift[pattern.tgt]).any():
             raise ValueError(f"negative arrow exponent at filtration level {level}")
         grading = grading - 2 * shift
-    piv_row, piv_col, piv_deg = _kernels.graded_snf(pattern.rows, grading)
+    piv_row, piv_col, piv_deg = _kernels.graded_snf(
+        pattern.rows, grading, bits=pattern.bits
+    )
     maslov = grading.tolist()
     rank = len(piv_row)
     free_rank = n - 2 * rank

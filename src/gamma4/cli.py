@@ -25,9 +25,10 @@ Global flags work before or after the subcommand: ``--json`` emits the
 stable machine schema, ``--decimal`` adds six-significant-digit decimal
 renderings marked inexact, ``--cache FILE`` memoises torsion profiles
 across invocations without ever changing a value, and ``--genus-cap G``
-bounds the total genus the router will expand into a tensor complex.  A
-one-sided sum of several knots folds by infimal convolution and never
-expands, but obeys the same cap; closed-form staircase pairs are exempt.
+bounds the total genus the router will expand into a tensor complex (a
+negative ``G`` is a usage error).  A one-sided sum of several knots folds
+by infimal convolution and never expands, but obeys the same cap;
+closed-form staircase pairs are exempt.
 
 Exit codes: 0 success, 1 failed verification, 2 usage or parse error,
 3 structurally unsupported expression.
@@ -580,6 +581,9 @@ def main(argv: list[str] | None = None) -> int:
     json_mode = getattr(args, "json", False)
     args.decimal = getattr(args, "decimal", False)
     args.genus_cap = getattr(args, "genus_cap", DEFAULT_GENUS_CAP)
+    if args.genus_cap < 0:
+        print("error: --genus-cap must be at least 0", file=sys.stderr)
+        return 2
     cache_path = getattr(args, "cache", None)
     try:
         cache = ProfileCache(cache_path)

@@ -13,6 +13,7 @@ from gamma4.cfk import (
     HomologySummary,
     MalformedExponentsError,
     NotSingleTowerError,
+    _canonical_arrows,
     dual,
     homology_over_polynomial_ring,
     staircase,
@@ -205,16 +206,21 @@ def test_verify_staircase2n():
         verify_staircase2n(0)
 
 
-def _snf_both(c: BifilteredComplex):
-    """Pivot triples of ``graded_snf`` and of the NumPy reference on ``c``."""
-    n = len(c)
+def _bit_rows(c: BifilteredComplex) -> np.ndarray:
     entries = [(t, src) for src, terms in enumerate(c.arrows) for _, t in terms]
+    return _kernels.pack_bit_rows(len(c), entries)
+
+
+def _snf_all(c: BifilteredComplex, bits):
+    """Pivot triples on ``c`` of ``graded_snf`` without and with ``bits``,
+    and of the NumPy reference."""
     grading = np.asarray(c.maslov, dtype=np.int64)
-    rows = _kernels.pack_bit_rows(n, entries)
+    rows = _bit_rows(c)
     before = rows.copy()
     fast = _kernels.graded_snf(rows, grading)
+    shared = _kernels.graded_snf(rows, grading, bits=bits)
     assert np.array_equal(rows, before)  # the input is left unchanged
-    return fast, _kernels._graded_snf_numpy(rows, grading.copy())
+    return fast, shared, _kernels._graded_snf_numpy(rows, grading.copy())
 
 
 def _every_level(c: BifilteredComplex) -> list[BifilteredComplex]:
@@ -239,18 +245,22 @@ def _sample_complexes() -> list[BifilteredComplex]:
 
 def test_backends_agree_on_homology_structure():
     """``graded_snf`` makes exactly the pivot choices of the NumPy reference:
-    identical (pivot_row, pivot_col, pivot_degree) triples at every level."""
-    samples = [
-        *(sub for c in _sample_complexes() for sub in _every_level(c)),
-        BifilteredComplex(("x",), (0,), (0,), ((),)),
-    ]
+    identical (pivot_row, pivot_col, pivot_degree) triples at every level,
+    whether it unpacks the bit rows itself or is given the bitsets that
+    ``unpack_bit_rows`` made once for the whole complex."""
+    samples = [*_sample_complexes(), BifilteredComplex(("x",), (0,), (0,), ((),))]
     assert max(len(c) for c in samples) == 405
     for c in samples:
-        fast, ref = _snf_both(c)
-        assert len(fast) == len(ref) == 3
-        for got, want in zip(fast, ref):
-            assert got.dtype == want.dtype == np.int64
-            assert got.tolist() == want.tolist()
+        bits = _kernels.unpack_bit_rows(_bit_rows(c))
+        row_bits, col_bits = bits
+        assert len(row_bits) == len(col_bits) == len(c)
+        for sub in _every_level(c):
+            assert _kernels.unpack_bit_rows(_bit_rows(sub)) == bits  # same pattern
+            fast, shared, ref = _snf_all(sub, bits)
+            assert len(fast) == len(shared) == len(ref) == 3
+            for got, again, want in zip(fast, shared, ref):
+                assert got.dtype == again.dtype == want.dtype == np.int64
+                assert got.tolist() == again.tolist() == want.tolist()
     empty = np.zeros(0, dtype=np.int64)
     for res in (
         _kernels.graded_snf(_kernels.pack_bit_rows(0, []), empty),
@@ -298,6 +308,38 @@ def test_level_homology_matches_subcomplex_on_small_tensors(c):
     _assert_level_homology_matches_subcomplex(c)
 
 
+def _canonical_tensor_arrows(left: BifilteredComplex, right: BifilteredComplex):
+    """The Leibniz terms of ``left`` (x) ``right`` through ``_canonical_arrows``."""
+    nr = len(right)
+    return _canonical_arrows(
+        [
+            [(e, t * nr + j) for e, t in left.arrows[i]]
+            + [(e, i * nr + t) for e, t in right.arrows[j]]
+            for i in range(len(left))
+            for j in range(nr)
+        ]
+    )
+
+
+def _assert_tensor_is_canonical(c: BifilteredComplex) -> None:
+    for piece in (trefoil_staircase(), dual(torus_staircase(2, 5))):
+        for left, right in ((c, piece), (piece, c)):
+            assert tensor(left, right).arrows == _canonical_tensor_arrows(left, right)
+
+
+def test_tensor_arrows_are_canonical():
+    """Sorting the Leibniz terms gives the canonical arrows: no two terms of
+    one generator coincide, so there is nothing to cancel mod 2."""
+    for c in _sample_complexes():
+        _assert_tensor_is_canonical(c)
+
+
+@given(small_tensors())
+@settings(max_examples=60, deadline=None)
+def test_tensor_arrows_are_canonical_on_small_tensors(c):
+    _assert_tensor_is_canonical(c)
+
+
 def test_packed_pattern_leaves_equality_and_hash_alone():
     def build():
         return tensor(torus_staircase(2, 3), dual(torus_staircase(3, 4)))
@@ -305,12 +347,44 @@ def test_packed_pattern_leaves_equality_and_hash_alone():
     c = build()
     vi_sequence(c)
     assert "_pattern" in vars(c)  # packed by the first level
-    rows = c._pattern.rows
+    rows, bits = c._pattern.rows, c._pattern.bits
     assert c == build() and hash(c) == hash(build())
+    vi_sequence(c)
     assert c._pattern.rows is rows  # packed once, then reused
+    assert c._pattern.bits is bits  # unpacked once, then reused
+    assert isinstance(bits, tuple) and len(bits) == 2
+    for bitsets in bits:
+        assert isinstance(bitsets, tuple) and len(bitsets) == len(c)
+        assert all(type(b) is int for b in bitsets)
+    assert bits == _kernels.unpack_bit_rows(rows)
     assert not rows.flags.writeable
     with pytest.raises(ValueError):
         rows[0, 0] = 1
+
+
+def test_level_sweep_unpacks_bitsets_once(monkeypatch):
+    """Levels 0 to max(A) of the 405-generator oracle complex share one unpack."""
+    c = _sample_complexes()[-1]
+    levels = range(max(c.alexander) + 1)
+    assert (len(c), len(levels)) == (405, 24)
+    unpacks, eliminations = [], []
+
+    def counted_unpack(rows):
+        unpacks.append(rows.shape)
+        return unpack_bit_rows(rows)
+
+    def counted_snf(*args, **kwargs):
+        eliminations.append(kwargs.get("bits") is not None)
+        return graded_snf(*args, **kwargs)
+
+    unpack_bit_rows, graded_snf = _kernels.unpack_bit_rows, _kernels.graded_snf
+    monkeypatch.setattr(_kernels, "unpack_bit_rows", counted_unpack)
+    monkeypatch.setattr(_kernels, "graded_snf", counted_snf)
+    for s in levels:
+        assert homology_over_polynomial_ring(c, s).free_rank == 1
+    monkeypatch.undo()
+    assert unpacks == [(405, 7)]
+    assert eliminations == [True] * 24
 
 
 def test_level_homology_rejects_negative_shifted_exponent():

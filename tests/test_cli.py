@@ -77,6 +77,26 @@ def test_genus_cap_flag_limits_expansion(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (("--genus-cap", "-1", "invariants", "T(2,3) + T(2,5)"), 2,
+         "error: --genus-cap must be at least 0\n"),
+        (("--genus-cap", "-5", "invariants", "T(2,3)"), 2,
+         "error: --genus-cap must be at least 0\n"),
+        (("omega", "T(2,3)", "--max-n", "3", "--genus-cap", "-1", "--json"), 2,
+         "error: --genus-cap must be at least 0\n"),
+        (("--genus-cap", "0", "invariants", "T(2,3) + T(2,5)"), 3,
+         "unsupported: reduced genus 3 exceeds the cap 0\n"),
+        (("--genus-cap", "0", "invariants", "T(2,3)"), 0, ""),
+    ],
+)
+def test_genus_cap_must_not_be_negative(capsys, argv, code, err):
+    got_code, out, got_err = run_cli(capsys, *argv)
+    assert (got_code, got_err) == (code, err)
+    assert bool(out) == (code == 0)
+
+
+@pytest.mark.parametrize(
     "argv",
     [("invariants",), ("bound",), ("d-invariant", "5"), ("omega", "--max-n", "3")],
 )
