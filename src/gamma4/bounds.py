@@ -33,7 +33,8 @@ from .nuplus import (
     t_from_profile,
     vi_expr,
 )
-from .torus import signature_expr, vi_lspace
+from .semigroups import FormalSemigroup
+from .torus import signature_expr
 
 
 class OddEulerNumberError(ValueError):
@@ -118,8 +119,13 @@ def nu_plus_bound(
 
 
 def upsilon_torus(p: int, q: int) -> int:
-    """Value of the upsilon invariant at its midpoint for a positive T(p, q)."""
-    return -t_from_profile(vi_lspace(p, q))
+    """Value of the upsilon invariant at its midpoint for a positive T(p, q).
+
+    The torsion profile comes from the semigroup of ``T(p, q)``; the
+    ``oracles/semigroup-profiles`` check holds it to the Alexander-polynomial
+    profile ``torus.vi_lspace``.
+    """
+    return -t_from_profile(FormalSemigroup.from_generators(p, q).vi)
 
 
 def upsilon_expr(expr: KnotExpression) -> int:
@@ -222,7 +228,7 @@ def thin_bounds(tau: int, sigma: int) -> BoundReport:
         raise ValueError("tau must be non-negative; mirror the knot first")
     if sigma % 2 != 0:
         raise ValueError("signature must be even")
-    model = vi_lspace(2, 2 * tau + 1) if tau >= 1 else (0,)
+    model = FormalSemigroup.from_generators(2, 2 * tau + 1).vi
     upsilon_value = -tau
     plain = _assemble(sigma, (0,), upsilon_value, None, None, "as-given")
     flipped = _assemble(-sigma, model, -upsilon_value, None, None, "mirrored")

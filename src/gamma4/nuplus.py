@@ -226,7 +226,7 @@ def _infimal_fold(factors: list[FormalSemigroup]) -> FormalSemigroup:
         raise AssertionError(
             f"infimal fold has {members.size} members below 2g, not g = {genus}"
         )
-    return FormalSemigroup(tuple(members.tolist()))
+    return FormalSemigroup(members)
 
 
 def _tensor_generator_count(expr: KnotExpression) -> int:

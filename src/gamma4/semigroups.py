@@ -12,11 +12,15 @@ The bridge to knot invariants: for an L-space knot, ``S`` is the exponent set
 of the stable Alexander series, ``g`` is the Seifert genus, and the torsion
 coefficients ``V_j`` of the large-surgery homology are recovered by counting
 gaps at or above ``g + j``.  ``from_vi`` inverts that count.
+
+A semigroup holds its members below the conductor as one read-only int64
+NumPy array, from the sieve that finds them to the closed-form grid that
+reads them; every query is a slice or a ``searchsorted`` over that array and
+returns Python ints.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -32,29 +36,60 @@ class MalformedSequenceError(ValueError):
     """Raised when a purported torsion sequence violates its shape rules."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FormalSemigroup:
-    """A symmetric formal semigroup, stored as its elements below the conductor.
+    """A symmetric formal semigroup, stored as its members below the conductor.
 
-    ``elements`` is the strictly increasing tuple of members smaller than the
-    conductor ``2 * genus``; every integer from the conductor on is a member.
-    The symmetry invariant makes the member and gap counts below the
-    conductor equal, so ``genus == len(elements)``.
+    ``members`` is a read-only, strictly increasing one-dimensional int64
+    array of the members smaller than the conductor ``2 * genus``; every
+    integer from the conductor on is a member.  The symmetry invariant makes
+    the member and gap counts below the conductor equal, so
+    ``genus == len(members)``.  The constructor takes any one-dimensional
+    sequence or array of integers (bools refused) and keeps a private copy,
+    so a caller's array can change later without changing the semigroup.
+    Equality and hashing go by the members.
     """
 
-    elements: tuple[int, ...]
+    members: np.ndarray
 
     def __post_init__(self) -> None:
-        g = len(self.elements)
-        prev = -1
-        for s in self.elements:
-            if s <= prev or s >= 2 * g:
-                raise MalformedSequenceError(
-                    "elements must be strictly increasing and below twice their count"
-                )
-            prev = s
-        if g > 0 and self.elements[0] != 0:
+        values = self.members
+        raw = np.asarray(values)
+        if raw.ndim != 1:
+            raise MalformedSequenceError("members must form a one-dimensional array")
+        if not isinstance(values, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in values
+        ):
+            raise MalformedSequenceError("members must be integers, not bools")
+        if raw.size and raw.dtype.kind not in "iu":
+            raise MalformedSequenceError(
+                f"members must be integers, not {raw.dtype}"
+            )
+        members = raw.astype(np.int64)
+        members.flags.writeable = False
+        g = members.size
+        if g and (
+            members[0] < 0
+            or members[-1] >= 2 * g
+            or (members[1:] <= members[:-1]).any()
+        ):
+            raise MalformedSequenceError(
+                "elements must be strictly increasing and below twice their count"
+            )
+        if g and members[0] != 0:
             raise MalformedSequenceError("0 must be a member")
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FormalSemigroup):
+            return NotImplemented
+        return np.array_equal(self.members, other.members)
+
+    def __hash__(self) -> int:
+        return hash(self.members.tobytes())
+
+    def __repr__(self) -> str:
+        return f"FormalSemigroup(elements={self.elements!r})"
 
     # -- constructors -----------------------------------------------------
 
@@ -68,8 +103,7 @@ class FormalSemigroup:
         genus = (a - 1) * (b - 1) // 2
         from . import _kernels
 
-        members = _kernels.sieve_members(a, b, 2 * genus)
-        return cls(tuple(np.flatnonzero(members).tolist()))
+        return cls(np.flatnonzero(_kernels.sieve_members(a, b, 2 * genus)))
 
     @classmethod
     def from_vi(cls, values) -> "FormalSemigroup":
@@ -94,22 +128,28 @@ class FormalSemigroup:
         upper_gap = [vs[j] > vs[j + 1] for j in range(genus)]
         elements = [s for s in range(genus) if upper_gap[genus - 1 - s]]
         elements += [genus + j for j in range(genus) if not upper_gap[j]]
-        return cls(tuple(elements))
+        return cls(elements)
 
     # -- basic structure --------------------------------------------------
 
+    @cached_property
+    def elements(self) -> tuple[int, ...]:
+        """The members below the conductor as a tuple of Python ints."""
+        return tuple(self.members.tolist())
+
     @property
     def genus(self) -> int:
-        return len(self.elements)
+        return self.members.size
 
     @property
     def conductor(self) -> int:
-        return 2 * len(self.elements)
+        return 2 * self.members.size
 
     @cached_property
     def gaps(self) -> tuple[int, ...]:
-        member = set(self.elements)
-        return tuple(s for s in range(self.conductor) if s not in member)
+        is_gap = np.ones(self.conductor, dtype=bool)
+        is_gap[self.members] = False
+        return tuple(np.flatnonzero(is_gap).tolist())
 
     def __contains__(self, x: object) -> bool:
         if not isinstance(x, int):
@@ -118,8 +158,8 @@ class FormalSemigroup:
             return False
         if x >= self.conductor:
             return True
-        i = bisect_left(self.elements, x)
-        return i < len(self.elements) and self.elements[i] == x
+        i = self.count_below(x)
+        return i < self.genus and int(self.members[i]) == x
 
     def count_below(self, x: int) -> int:
         """Number of members strictly below ``x``."""
@@ -127,7 +167,7 @@ class FormalSemigroup:
             return 0
         if x >= self.conductor:
             return x - self.genus
-        return bisect_right(self.elements, x - 1)
+        return int(np.searchsorted(self.members, x))
 
     # -- enumerating function ---------------------------------------------
 
@@ -135,19 +175,22 @@ class FormalSemigroup:
         """The k-th smallest member (0-indexed); ``genus + k`` once ``k >= genus``."""
         if k < 0:
             raise ValueError("index must be non-negative")
-        if k < len(self.elements):
-            return self.elements[k]
-        return len(self.elements) + k
+        if k < self.genus:
+            return int(self.members[k])
+        return self.genus + k
 
     def enumerating_prefix(self, count: int) -> np.ndarray:
-        """int64 array of the first ``count`` members, for kernel consumption."""
-        g = len(self.elements)
-        out = np.empty(max(0, count), dtype=np.int64)
-        head = min(count, g)
-        out[:head] = self.elements[:head]
-        if count > g:
-            out[g:] = np.arange(g, count, dtype=np.int64) + g
-        return out
+        """int64 array of the first ``count`` members, for kernel consumption.
+
+        Within the genus this is a read-only slice of ``members``; past it the
+        members ``2g, 2g + 1, ...`` are appended in a new array.
+        """
+        g = self.genus
+        if count <= g:
+            return self.members[: max(0, count)]
+        return np.concatenate(
+            (self.members, np.arange(2 * g, count + g, dtype=np.int64))
+        )
 
     @cached_property
     def is_closed_under_addition(self) -> bool:
@@ -172,10 +215,15 @@ class FormalSemigroup:
 
     @cached_property
     def vi(self) -> tuple[int, ...]:
-        """``V_j`` for ``j = 0..genus``: gaps at or above ``genus + j``, counted."""
+        """``V_j`` for ``j = 0..genus``: gaps at or above ``genus + j``, counted.
+
+        Of the ``g - j`` integers in ``[g + j, 2g)``, ``g - I(g + j)`` are
+        members, where ``I(m)`` counts the members below ``m``; so
+        ``V_j = I(g + j) - j``.
+        """
         g = self.genus
-        gaps = self.gaps
-        return tuple(g - bisect_left(gaps, g + j) for j in range(g + 1))
+        j = np.arange(g + 1)
+        return tuple((np.searchsorted(self.members, g + j) - j).tolist())
 
 
 UNKNOT_SEMIGROUP = FormalSemigroup(())

@@ -354,6 +354,24 @@ def check_oracles() -> list[VerifyCheck]:
         )
     )
 
+    profile_pairs = [
+        (p, q) for p in range(2, 12) for q in range(p + 1, 60) if gcd(p, q) == 1
+    ]
+    profile_mismatch = [
+        f"T({p},{q})"
+        for p, q in profile_pairs
+        if FormalSemigroup.from_generators(p, q).vi != vi_lspace(p, q)
+    ]
+    checks.append(
+        _tally(
+            "oracles/semigroup-profiles",
+            "torsion profiles from semigroup gap counts (the production "
+            "upsilon path) vs the Alexander polynomial, 2 <= p < 12, p < q < 60",
+            len(profile_pairs),
+            profile_mismatch,
+        )
+    )
+
     family = _genus_limited_family(14)
     family_mismatch: list[str] = []
     for expr in family:

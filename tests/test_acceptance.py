@@ -89,8 +89,8 @@ def test_criterion_5_staircase_power_splitting():
 def test_criterion_6_oracle_equivalences():
     _conclude(
         6,
-        "five independent-path equalities: sieve, Alexander profiles, "
-        "family sweep, round-trips, power representatives",
+        "six independent-path equalities: sieve, Alexander profiles, "
+        "semigroup profiles, family sweep, round-trips, power representatives",
         "oracles",
     )
 

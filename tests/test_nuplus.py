@@ -7,13 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gamma4.cfk
 import gamma4.nuplus
 from gamma4 import _kernels
-from gamma4.cfk import vi_sequence
+from gamma4.cfk import staircase_exponents, vi_sequence
 from gamma4.expressions import KnotExpression, mirror, parse
 from gamma4.nuplus import (
     UnsupportedExpressionError,
@@ -158,6 +158,39 @@ def test_infimal_fold_matches_tensor_oracle(low, high):
     for expr in one_sided_sums(low, high):
         for signed in (expr, mirror(expr)):
             assert vi_expr(signed) == vi_tensor_oracle(signed), signed
+
+
+ORACLE_GENERATOR_BUDGET = 405
+
+
+@st.composite
+def budgeted_expressions(draw):
+    """Signed sums over the nine knots whose raw tensor (one staircase per
+    copy, as ``vi_tensor_oracle`` builds it) stays within the budget.
+
+    Powers of an adjacent-parameter knot are collapsed by the routed path,
+    inside tensors on the complex route.
+    """
+    terms = []
+    generators = 1
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        knot = draw(st.sampled_from(ONE_SIDED_KNOTS))
+        sign = draw(st.sampled_from((1, -1)))
+        size = len(staircase_exponents(FormalSemigroup.from_generators(knot.p, knot.q)))
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            if generators * size <= ORACLE_GENERATOR_BUDGET:
+                generators *= size
+                terms.append((knot, sign))
+    return KnotExpression.from_terms(terms)
+
+
+@given(budgeted_expressions())
+# random draws seldom put a power inside the tensor of the complex route
+@example(parse("2*T(2,3) + T(2,5) - T(3,4)"))
+@example(parse("2*T(3,4) - T(2,3) - T(2,5)"))
+@settings(max_examples=100, deadline=None)
+def test_routed_profile_matches_tensor_oracle(expr):
+    assert vi_expr(expr) == vi_tensor_oracle(expr), expr
 
 
 def test_infimal_fold_identities():

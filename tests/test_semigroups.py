@@ -151,5 +151,61 @@ def test_sieve_is_symmetric_and_matches_bruteforce(ab, limit):
 
 def test_from_generators_elements_are_python_ints():
     s = FormalSemigroup.from_generators(6, 61)
+    assert type(s.elements) is tuple
     assert all(type(x) is int for x in s.elements)
     assert s.elements == tuple(enumerating_bruteforce(6, 61, k) for k in range(s.genus))
+
+
+def test_members_are_read_only():
+    s = FormalSemigroup.from_generators(3, 5)
+    assert s.members.dtype == np.int64
+    with pytest.raises(ValueError):
+        s.members[1] = 4
+    assert not s.enumerating_prefix(2).flags.writeable
+
+
+def test_caller_array_is_copied():
+    owned = np.array([0, 3, 5, 6])
+    s = FormalSemigroup(owned)
+    owned[1] = 4
+    assert s.elements == (0, 3, 5, 6)
+    assert s == FormalSemigroup.from_generators(3, 5)
+
+
+def test_equality_and_hash_by_value():
+    s = FormalSemigroup.from_generators(5, 6)
+    assert FormalSemigroup.from_vi(s.vi) == s
+    assert len({s, FormalSemigroup.from_vi(s.vi), FormalSemigroup(s.elements)}) == 1
+    assert s != FormalSemigroup.from_generators(2, 11)
+    assert repr(FormalSemigroup.from_generators(3, 5)) == (
+        "FormalSemigroup(elements=(0, 3, 5, 6))"
+    )
+
+
+def test_queries_return_python_ints():
+    s = FormalSemigroup.from_generators(3, 5)
+    for value in (s.genus, s.conductor, s.enumerating(2), s.count_below(6)):
+        assert type(value) is int
+    assert type(3 in s) is bool
+    assert all(type(x) is int for x in s.vi + s.gaps)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (0, 5, 3, 6),  # unsorted
+        (0, 3, 3, 6),  # duplicate
+        (0, 3, 5, 8),  # at 2g
+        (1, 3, 5, 6),  # 0 missing
+        (-1, 3, 5, 6),  # negative
+        np.array([[0, 3], [5, 6]]),  # 2-D
+        5,  # 0-D
+        (0, 3, 5, 6.0),  # float
+        np.array([0.0, 3.0, 5.0, 6.0]),  # float array
+        (0, True),  # bool
+        np.array([True, False]),  # bool array
+    ],
+)
+def test_malformed_members_refused(bad):
+    with pytest.raises(MalformedSequenceError):
+        FormalSemigroup(bad)
