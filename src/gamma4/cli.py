@@ -30,6 +30,9 @@ negative ``G`` is a usage error).  A one-sided sum of several knots folds
 by infimal convolution and never expands, but obeys the same cap;
 closed-form staircase pairs are exempt.
 
+The argument parser is built once per process, on the first ``main`` call,
+and reused by every later call.
+
 Exit codes: 0 success, 1 failed verification, 2 usage or parse error,
 3 structurally unsupported expression.
 """
@@ -37,6 +40,7 @@ Exit codes: 0 success, 1 failed verification, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -88,16 +92,23 @@ def _checked_cache_data(data) -> dict[str, list[int]]:
     if not isinstance(data, dict):
         raise ValueError("top level is not a JSON object")
     for key, value in data.items():
-        if not (
-            isinstance(value, list)
-            and value
-            and all(type(v) is int for v in value)
-            and value[-1] == 0
-            and all(v > 0 for v in value[:-1])
-            and all(cur - nxt in (0, 1) for cur, nxt in zip(value, value[1:]))
-        ):
+        if not _is_profile(value):
             raise ValueError(f"entry {key!r} is not a torsion profile")
     return data
+
+
+def _is_profile(value) -> bool:
+    """Whether ``value`` is a torsion profile, checked in one pass over it."""
+    if not isinstance(value, list) or not value:
+        return False
+    previous = None
+    for current in value:
+        if type(current) is not int:
+            return False
+        if previous is not None and (previous <= 0 or previous - current not in (0, 1)):
+            return False
+        previous = current
+    return previous == 0
 
 
 class ProfileCache:
@@ -137,7 +148,7 @@ class ProfileCache:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self.data, handle, sort_keys=True)
+                handle.write(json.dumps(self.data, sort_keys=True))
             os.replace(tmp, self.path)
         except BaseException:
             if os.path.exists(tmp):
@@ -483,7 +494,14 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Reuse is safe because ``parse_args`` fills a fresh ``Namespace`` on every
+    call and the global flags default to ``argparse.SUPPRESS``; callers must
+    not add to the returned parser.
+    """
     common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="gamma4",

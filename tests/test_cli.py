@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gamma4.bounds
 import gamma4.cli
@@ -362,6 +369,12 @@ def test_cache_rejects_malformed_file(tmp_path, capsys):
         '{"T(2,3)|vi": 5}',  # an entry that is not a list
         '{"T(2,3)|vi": [7, 0]}',  # a list that drops by more than one
         "[1, 2]",  # a top level that is not an object
+        '{"T(2,3)|vi": []}',  # an empty list
+        '{"T(2,3)|vi": [true, 0]}',  # a bool is not an int
+        '{"T(2,3)|vi": [1, 2, 0]}',  # a list that rises
+        '{"T(2,3)|vi": [1, 0, 0]}',  # a zero before the last entry
+        '{"T(2,3)|vi": [-1, 0]}',  # a negative entry
+        '{"T(2,3)|vi": [2, 1]}',  # no final zero
     ],
 )
 def test_cache_rejects_malformed_entries(tmp_path, capsys, contents):
@@ -426,3 +439,180 @@ def test_cfk_dump_obeys_generator_limit(capsys, text, generators):
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2
+
+
+def _is_profile_reference(value) -> bool:
+    """The cache's profile test as five separate passes, kept as reference."""
+    return bool(
+        isinstance(value, list)
+        and value
+        and all(type(v) is int for v in value)
+        and value[-1] == 0
+        and all(v > 0 for v in value[:-1])
+        and all(cur - nxt in (0, 1) for cur, nxt in zip(value, value[1:]))
+    )
+
+
+_profile_like = st.one_of(
+    st.lists(st.integers(-2, 4), max_size=6),
+    st.lists(st.one_of(st.integers(-1, 3), st.booleans(), st.just(1.0)), max_size=4),
+    # descending staircases, so that accepted profiles are drawn often
+    st.lists(st.integers(0, 1), max_size=6).map(
+        lambda steps: [sum(steps[i:]) for i in range(len(steps))] + [0]
+    ),
+    st.integers(),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_profile_like)
+def test_cache_entry_check_matches_reference(value):
+    data = {"K|vi": value}
+    if _is_profile_reference(value):
+        assert gamma4.cli._checked_cache_data(data) is data
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            gamma4.cli._checked_cache_data(data)
+        assert str(excinfo.value) == "entry 'K|vi' is not a torsion profile"
+
+
+def test_cache_file_is_canonical_json(tmp_path, capsys):
+    store = tmp_path / "cache.json"
+    code, _, _ = run_cli(
+        capsys, "omega", "T(2,3) - T(5,6)", "--max-n", "6", "--cache", str(store)
+    )
+    assert code == 0
+    written = store.read_text(encoding="utf-8")
+    assert len(json.loads(written)) == 6
+    assert written == json.dumps(json.loads(written), sort_keys=True)
+    assert not [path.name for path in tmp_path.iterdir() if path != store]
+
+
+def fresh_parser() -> argparse.ArgumentParser:
+    """A newly built argument parser, not the one ``main`` reuses."""
+    return gamma4.cli.build_parser.__wrapped__()
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    fresh_parser()
+    one_build = len(built)
+    built.clear()
+    for argv in (
+        ("--json", "invariants", "T(2,3)"),
+        ("thin", "--tau", "2", "--sigma", "-4"),
+        ("d-invariant", "", "3"),
+    ):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    monkeypatch.undo()
+    assert one_build > 0
+    assert len(built) <= one_build
+
+
+def test_flags_do_not_leak_between_calls(tmp_path, capsys):
+    expr = "T(2,3) - T(5,6)"
+    code, out, _ = run_cli(capsys, "--json", "bound", expr, "--stable", "3")
+    assert code == 0
+    assert json.loads(out)["input"]["stable_horizon"] == 3
+    code, out, _ = run_cli(capsys, "bound", expr)
+    assert code == 0
+    assert out.startswith("expression: ")
+    assert "stable bound:" not in out
+
+    code, out, _ = run_cli(capsys, "--decimal", "d-invariant", expr, "5")
+    assert code == 0
+    assert "~" in out
+    code, out, _ = run_cli(capsys, "d-invariant", expr, "5")
+    assert code == 0
+    assert "~" not in out
+
+    store = tmp_path / "cache.json"
+    code, _, _ = run_cli(capsys, "--cache", str(store), "invariants", expr)
+    assert code == 0
+    before = store.read_bytes()
+    code, _, _ = run_cli(capsys, "invariants", "T(3,4) - T(2,5)")
+    assert code == 0
+    assert store.read_bytes() == before
+
+    refused = "T(2,3) + T(2,5)"
+    code, out, err = run_cli(capsys, "--genus-cap", "2", "invariants", refused)
+    assert (code, out) == (3, "")
+    assert "cap 2" in err
+    code, _, err = run_cli(capsys, "invariants", refused)
+    assert (code, err) == (0, "")
+
+
+def _exit_of(capsys, call, argv):
+    """Exit code, stdout and stderr of ``call(argv)``, which may exit."""
+    try:
+        code = call(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+SUBCOMMANDS = (
+    "invariants", "bound", "d-invariant", "omega", "thin", "verify", "cfk-dump",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--help",)]
+    + [(command, "--help") for command in SUBCOMMANDS]
+    + [
+        (),  # no subcommand
+        ("bogus",),
+        ("bound",),  # no expression
+        ("d-invariant", "T(2,3)", "notanint"),
+    ],
+    ids=lambda argv: " ".join(argv) or "bare",
+)
+def test_help_and_usage_errors_match_a_fresh_parser(capsys, argv):
+    expected = _exit_of(capsys, fresh_parser().parse_args, argv)
+    assert expected[0] in (0, 2)
+    assert expected[1] or expected[2]
+    # twice, so an exit inside parse_args leaves the reused parser intact
+    for _ in range(2):
+        assert _exit_of(capsys, main, argv) == expected
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--json", "invariants", "T(2,3) - T(5,6)"), 0),
+        (("bogus",), 2),
+        (("invariants", "T(2,3) + T(2,5)", "--genus-cap", "2"), 3),
+    ],
+)
+def test_module_entry_point_in_a_subprocess(argv, code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "gamma4.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert json.loads(done.stdout)["results"]["t"] == 6
+    else:
+        assert done.stdout == ""
+        assert done.stderr
