@@ -2,7 +2,8 @@
 
 Each kernel has one implementation.  The graded elimination ``graded_snf``
 runs on Python-int bitsets; ``_graded_snf_numpy`` is the NumPy reference it
-is tested against.  The sieve, signature and profile-grid kernels are plain
+is tested against.  ``f2_rank`` is the plain F_2 rank of Python-int
+bitsets.  The sieve, signature and profile-grid kernels are plain
 NumPy.  This module owns the bitset format: ``pack_bit_rows`` packs a
 pattern into uint64 bit rows, and ``unpack_bit_rows`` turns those into the
 Python-int row and column bitsets that ``graded_snf`` eliminates on.  A
@@ -73,6 +74,24 @@ def unpack_bit_rows(rows: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]
             col_bits[low.bit_length() - 1] |= flag
             bits ^= low
     return row_bits, tuple(col_bits)
+
+
+def f2_rank(vectors) -> int:
+    """Rank over F_2 of Python-int bitsets, bit i being coordinate i.
+
+    Each vector is reduced against an XOR basis keyed by top bit; a vector
+    that does not reduce to zero joins the basis under its new top bit.
+    """
+    basis: dict[int, int] = {}
+    for vector in vectors:
+        while vector:
+            top = vector.bit_length() - 1
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = vector
+                break
+            vector ^= pivot
+    return len(basis)
 
 
 # ---------------------------------------------------------------------------

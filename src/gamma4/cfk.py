@@ -24,6 +24,15 @@ preserves all three invariants.  So level homology is read off the parent's
 packed pattern and its bitsets with shifted gradings, with no subcomplex
 built, checked or unpacked again; ``subcomplex_at_level`` builds that
 subcomplex explicitly, validated, as the reference.
+
+Two independent algorithms give the profile ``V_0, V_1, ...``.
+``vi_sequence`` eliminates each level completely and locates its tower;
+the tensor-complex oracle uses it.  ``vi_by_rank`` asks, one grading at a
+time, whether a cycle of the level survives in the homology of the whole
+complex: three F_2 ranks of the target masks the validation already
+builds, and one query per level after ``V_0``; the routed complex path
+uses it.  They share no elimination, no tower locator and no packed
+pattern.
 """
 
 from __future__ import annotations
@@ -105,6 +114,10 @@ class BifilteredComplex:
                 square ^= targets[mid]
             if square:
                 raise ValueError(f"differential does not square to zero at {ids[src]}")
+        # Kept outside the dataclass fields (so ``==`` and ``hash`` see the
+        # fields alone): in one grading of CF^-, the column of the boundary
+        # map at a generator is its target mask.
+        object.__setattr__(self, "_targets", tuple(targets))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -130,9 +143,6 @@ class BifilteredComplex:
         for array in arrays.values():
             array.flags.writeable = False
         return _Pattern(bits=_kernels.unpack_bit_rows(arrays["rows"]), **arrays)
-
-    def index_of(self, gen_id: str) -> int:
-        return self.ids.index(gen_id)
 
     def dump(self) -> str:
         """Stable text form: `id M A` lines, then `src -> U^e tgt` arrow lines."""
@@ -438,6 +448,82 @@ def vi_sequence(complex_: BifilteredComplex) -> tuple[int, ...]:
         if s > bound:
             raise AssertionError("torsion sequence failed to reach zero; this is a bug")
         s += 1
+
+
+def _rank_test(complex_: BifilteredComplex):
+    """The test ``V_s <= v`` on ``complex_``, as a function of ``(s, v)``.
+
+    In the grading ``d = -2v`` each generator ``x`` with ``M(x) >= d`` of the
+    parity of ``d`` spans one basis vector ``U^k x`` of ``CF^-``: the set
+    ``T``.  Those of the level-``s`` subcomplex ``A_s`` are the ``x`` with
+    ``M(x) - 2 max(0, A(x) - s) >= d``: the set ``S``.  ``A_s`` includes
+    into ``CF^-``, whose homology is one tower topped at grading 0, and
+    maps its own tower onto the part at and below grading ``-2 V_s``.  So
+    ``V_s <= v`` iff some cycle of ``A_s`` in grading ``d`` is not a
+    boundary in ``CF^-``: iff ``dim Z_d(A_s) = |S| - r1`` exceeds
+    ``dim(B_d(CF^-) ∩ A_s) = r2 - r3``, where ``r1`` is the rank of the
+    boundary on ``S``, ``r2`` that on the generators of grading ``d + 1``
+    and ``r3`` that of the same columns restricted to the rows ``T \\ S``.
+    All three are F_2 ranks of target masks.
+
+    ``T``, ``r2`` and the homology of ``CF^-`` in grading ``d`` are computed
+    once per grading; that homology must be 1 for ``d <= 0`` and 0 for
+    ``d = 2`` (checked at once), or ``NotSingleTowerError`` is raised.
+    """
+    targets, maslov, alexander = complex_._targets, complex_.maslov, complex_.alexander
+    slices: dict[int, tuple[list[int], list[int], int]] = {}
+
+    def grading_slice(d: int) -> tuple[list[int], list[int], int]:
+        if d not in slices:
+            cells = [x for x, m in enumerate(maslov) if m >= d and (m - d) % 2 == 0]
+            incoming = [targets[x] for x, m in enumerate(maslov) if m > d and (m - d) % 2 == 1]
+            r2 = _kernels.f2_rank(incoming)
+            dim = len(cells) - _kernels.f2_rank(targets[x] for x in cells) - r2
+            if dim != (d <= 0):
+                raise NotSingleTowerError(
+                    f"homology of CF^- in grading {d} has dimension {dim}, "
+                    f"expected {int(d <= 0)}"
+                )
+            slices[d] = cells, incoming, r2
+        return slices[d]
+
+    def at_most(s: int, v: int) -> bool:
+        d = -2 * v
+        cells, incoming, r2 = grading_slice(d)
+        chosen, outside = [], 0  # S, and the mask of T \ S
+        for x in cells:
+            if maslov[x] - 2 * max(0, alexander[x] - s) >= d:
+                chosen.append(x)
+            else:
+                outside |= 1 << x
+        r1 = _kernels.f2_rank(targets[x] for x in chosen)
+        r3 = _kernels.f2_rank(t & outside for t in incoming)
+        return len(chosen) - r1 > r2 - r3
+
+    grading_slice(2)
+    return at_most
+
+
+def vi_by_rank(complex_: BifilteredComplex) -> tuple[int, ...]:
+    """V_0, V_1, ... up to and including the first zero, by ``_rank_test``.
+
+    ``V_0`` is the least ``v`` that passes the test.  Each later level
+    takes one query, because ``V_{s-1} - 1 <= V_s <= V_{s-1}`` (Rasmussen,
+    arXiv:math/0306378).  An independent algorithm from ``vi_sequence``:
+    no Smith normal form, no tower locator, no packed pattern.
+    """
+    at_most = _rank_test(complex_)
+    v = 0
+    while not at_most(0, v):
+        v += 1
+    out = [v]
+    s = 0
+    while v:
+        s += 1
+        if at_most(s, v - 1):
+            v -= 1
+        out.append(v)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

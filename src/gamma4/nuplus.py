@@ -38,9 +38,11 @@ The adjacent-parameter substitution is stronger than the fold: it holds
 at the level of the underlying filtered complex (the power's complex
 splits as the collapsed staircase plus acyclic pieces), so the direct
 tensor path applies it inside arbitrary tensor contexts to keep generator
-counts down.  ``vi_tensor_oracle`` deliberately does not — it
-builds one staircase per copy and serves as the independent cross-check
-for every shortcut above.
+counts down, and reads the profile off one F_2 rank test per level
+(``cfk.vi_by_rank``).  ``vi_tensor_oracle`` deliberately does neither —
+it builds one staircase per copy and runs graded Smith normal form at
+every level (``cfk.vi_sequence``).  The two are independent algorithms,
+and the oracle is the cross-check for every shortcut above.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .cfk import (
     staircase_exponents,
     staircase_from_semigroup,
     tensor,
+    vi_by_rank,
     vi_sequence,
 )
 from .expressions import KnotExpression, mirror, split_parts
@@ -325,8 +328,9 @@ def tensor_complex(expr: KnotExpression) -> BifilteredComplex:
 def vi_tensor_oracle(expr: KnotExpression) -> tuple[int, ...]:
     """Torsion profile from the raw tensor, one staircase per copy.
 
-    No power collapse, no reductions: this is the independent oracle the
-    closed form and the shortcut-laden direct path are tested against.  It
+    No power collapse, no reductions, and graded Smith normal form at every
+    level where the direct path runs rank tests: this is the independent
+    oracle the closed form and the direct path are tested against.  It
     imposes no size guard, so callers choose their own budgets.
     """
     positive, negative = split_parts(expr)
@@ -348,7 +352,7 @@ def vi_expr(
     if plan.kind == "closed-form":
         return vi_from_nuplus(plan.positive, plan.negative)
     if plan.kind == "complex":
-        return vi_sequence(tensor_complex(expr))
+        return vi_by_rank(tensor_complex(expr))
     raise UnsupportedExpressionError(plan.reason)
 
 

@@ -14,6 +14,7 @@ from gamma4.cfk import (
     MalformedExponentsError,
     NotSingleTowerError,
     _canonical_arrows,
+    _rank_test,
     dual,
     homology_over_polynomial_ring,
     staircase,
@@ -25,6 +26,7 @@ from gamma4.cfk import (
     trefoil_staircase,
     v_invariant,
     verify_staircase2n,
+    vi_by_rank,
     vi_sequence,
 )
 from gamma4.semigroups import FormalSemigroup
@@ -306,6 +308,67 @@ small_tensors = st.composite(_small_tensors)
 @settings(max_examples=60, deadline=None)
 def test_level_homology_matches_subcomplex_on_small_tensors(c):
     _assert_level_homology_matches_subcomplex(c)
+
+
+def _assert_rank_test_matches_homology(c: BifilteredComplex) -> None:
+    """At every level, ``V_s <= v`` read off the level homology's tower is
+    what the rank test answers, for every ``v`` up to one past the largest
+    ``V_s``; and ``vi_by_rank`` is ``vi_sequence``."""
+    levels = range(min(c.alexander) - 1, max(c.alexander) + 2)
+    vs = {s: -homology_over_polynomial_ring(c, s).tower_grading // 2 for s in levels}
+    at_most = _rank_test(c)
+    for s in levels:
+        for v in range(max(vs.values()) + 2):
+            assert at_most(s, v) == (vs[s] <= v), (s, v)
+    assert vi_by_rank(c) == vi_sequence(c)
+
+
+def test_rank_test_matches_level_homology():
+    samples = _sample_complexes()
+    assert max(len(c) for c in samples) == 405
+    for c in samples:
+        _assert_rank_test_matches_homology(c)
+
+
+@given(small_tensors())
+@settings(max_examples=60, deadline=None)
+def test_rank_test_matches_level_homology_on_small_tensors(c):
+    _assert_rank_test_matches_homology(c)
+
+
+@pytest.mark.slow
+def test_vi_by_rank_matches_vi_sequence_on_criterion_6_complex():
+    """The largest routed oracle complex of ``oracles/family-sweep``,
+    ``2*T(2,3) - 2*T(2,5) + 2*T(3,5)`` with one staircase per copy."""
+    t23, t25, t35 = torus_staircase(2, 3), torus_staircase(2, 5), torus_staircase(3, 5)
+    c = tensor(tensor(tensor(tensor(tensor(t35, t35), dual(t25)), dual(t25)), t23), t23)
+    assert len(c) == 11025
+    assert vi_by_rank(c) == vi_sequence(c) == (2, 2, 2, 1, 1, 1, 0)
+
+
+def test_rank_test_refuses_two_towers():
+    with pytest.raises(NotSingleTowerError, match="grading 0 has dimension 2"):
+        vi_by_rank(BifilteredComplex(("x", "y"), (0, 0), (0, 0), ((), ())))
+
+
+@pytest.mark.parametrize("shift", [2, 4, 1, -1, -2])
+def test_rank_test_refuses_a_tower_off_grading_0(shift):
+    """A tower topped anywhere but grading 0 fails hard; it never shifts
+    the profile."""
+    c = torus_staircase(3, 5)
+    moved = BifilteredComplex(
+        c.ids, tuple(m + shift for m in c.maslov), c.alexander, c.arrows
+    )
+    assert vi_by_rank(c) == (2, 1, 1, 1, 0)
+    with pytest.raises(NotSingleTowerError):
+        vi_by_rank(moved)
+
+
+def test_f2_rank():
+    assert _kernels.f2_rank([]) == _kernels.f2_rank([0, 0]) == 0
+    assert _kernels.f2_rank([0b011, 0b110, 0b101]) == 2
+    assert _kernels.f2_rank([0b001, 0b010, 0b100, 0b111]) == 3
+    assert _kernels.f2_rank(iter([1 << 200, (1 << 200) | 1, 1])) == 2
 
 
 def _canonical_tensor_arrows(left: BifilteredComplex, right: BifilteredComplex):

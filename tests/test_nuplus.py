@@ -118,7 +118,7 @@ def test_one_sided_route_builds_no_complex(monkeypatch):
         return wrapper
 
     for module in (gamma4.cfk, gamma4.nuplus):
-        for name in ("tensor", "vi_sequence"):
+        for name in ("tensor", "vi_sequence", "vi_by_rank"):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(
         FormalSemigroup,
@@ -191,6 +191,48 @@ def budgeted_expressions(draw):
 @settings(max_examples=100, deadline=None)
 def test_routed_profile_matches_tensor_oracle(expr):
     assert vi_expr(expr) == vi_tensor_oracle(expr), expr
+
+
+MIXED = parse("T(2,3) + T(3,4) - T(2,5)")
+
+
+def test_complex_route_runs_no_elimination(monkeypatch):
+    """The routed complex path reads its profile off rank tests: no graded
+    Smith normal form, no level homology, no packed pattern."""
+    assert route(MIXED).kind == "complex"
+    expected = vi_tensor_oracle(MIXED)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the complex route ran the oracle's algorithm")
+
+    monkeypatch.setattr(_kernels, "graded_snf", refuse)
+    monkeypatch.setattr(gamma4.cfk, "homology_over_polynomial_ring", refuse)
+    monkeypatch.setattr(gamma4.cfk.BifilteredComplex, "_pattern", property(refuse))
+    assert vi_expr(MIXED) == expected == (1, 1, 0)
+    with pytest.raises(AssertionError, match="oracle's algorithm"):
+        vi_tensor_oracle(MIXED)
+
+
+def test_oracle_eliminates_every_level(monkeypatch):
+    """The oracle runs graded Smith normal form and level homology once per
+    profile entry."""
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(_kernels, "graded_snf", counted("snf", _kernels.graded_snf))
+    monkeypatch.setattr(
+        gamma4.cfk,
+        "homology_over_polynomial_ring",
+        counted("homology", gamma4.cfk.homology_over_polynomial_ring),
+    )
+    profile = vi_tensor_oracle(MIXED)
+    assert calls.count("snf") == calls.count("homology") == len(profile) > 0
 
 
 def test_infimal_fold_identities():
