@@ -3,13 +3,19 @@
 Each kernel has one implementation.  The graded elimination ``graded_snf``
 runs on Python-int bitsets; ``_graded_snf_numpy`` is the NumPy reference it
 is tested against.  ``f2_rank`` is the plain F_2 rank of Python-int
-bitsets.  The sieve, signature and profile-grid kernels are plain
-NumPy.  This module owns the bitset format: ``pack_bit_rows`` packs a
-pattern into uint64 bit rows, and ``unpack_bit_rows`` turns those into the
-Python-int row and column bitsets that ``graded_snf`` eliminates on.  A
-caller that runs one pattern under many gradings unpacks it once and passes
-the pair as ``graded_snf(..., bits=...)``; the pivot rule does not depend
-on where the bitsets came from.
+bitsets.  The sieve, signature and profile-grid kernels are plain NumPy.
+The profile grid ``max_gap_profile`` takes integer arrays only and returns
+int64.  Its long rows loop over blocks of levels outside and run starts
+inside, and run in int32 whenever every input value lies in ``[0, 2**31)``
+(exact there, see its docstring), in int64 otherwise; its short profiles
+run as an int64 gather.
+
+This module owns the bitset format: ``pack_bit_rows`` packs a pattern into
+uint64 bit rows, and ``unpack_bit_rows`` turns those into the Python-int
+row and column bitsets that ``graded_snf`` eliminates on.  A caller that
+runs one pattern under many gradings unpacks it once and passes the pair
+as ``graded_snf(..., bits=...)``; the pivot rule does not depend on where
+the bitsets came from.
 
 The central kernel diagonalizes boundary matrices over the one-variable
 polynomial ring with mod-2 coefficients.  Because the boundary map is
@@ -311,6 +317,19 @@ GRID_BLOCK_CELLS = 1 << 16
 ROW_BLOCK_MIN_LEVELS = 1 << 10
 
 
+def _int64_array(values, name: str) -> np.ndarray:
+    """``values`` as a contiguous int64 array; ``ValueError`` unless its
+    dtype is an integer one that casts to int64 without loss."""
+    raw = np.asarray(values)
+    # int64 first: it is what every caller passes, and ``can_cast`` costs
+    # several times the rest of the check.
+    if raw.dtype != np.int64 and not (
+        raw.dtype.kind in "iu" and np.can_cast(raw.dtype, np.int64)
+    ):
+        raise ValueError(f"{name} must hold integers, not {raw.dtype}")
+    return np.ascontiguousarray(raw, dtype=np.int64)
+
+
 def max_gap_profile(gam_a: np.ndarray, gam_b: np.ndarray, v_count: int) -> np.ndarray:
     """out[v] = max over k of gam_b[k] - gam_a[k + v], for v in [0, v_count).
 
@@ -327,10 +346,20 @@ def max_gap_profile(gam_a: np.ndarray, gam_b: np.ndarray, v_count: int) -> np.nd
     ``GRID_BLOCK_CELLS`` cells, never one level at a time: one run start
     times a contiguous slice of levels when ``v_count`` reaches
     ``ROW_BLOCK_MIN_LEVELS``, otherwise as many run starts as fit times
-    every level.
+    every level.  The rows loop over blocks of levels outside and run
+    starts inside, so each run start costs one subtraction and one maximum
+    over the block of ``out`` at hand.  They run in int32 when every
+    value of ``gam_a`` and ``gam_b`` lies in ``[0, 2**31)``, in int64
+    otherwise: each cell ``top - gam_a[j]`` then lies in ``(-2**31, 2**31)``,
+    so int32 is exact.  The gather path always runs in int64, and the
+    result is always int64.
+
+    Both arrays must have an integer dtype that casts safely to int64;
+    float, bool, object and uint64 arrays raise ``ValueError`` instead of
+    being truncated or wrapped.
     """
-    gam_a = np.ascontiguousarray(gam_a, dtype=np.int64)
-    gam_b = np.ascontiguousarray(gam_b, dtype=np.int64)
+    gam_a = _int64_array(gam_a, "gam_a")
+    gam_b = _int64_array(gam_b, "gam_b")
     if v_count <= 0:
         return np.zeros(0, dtype=np.int64)
     if gam_a.shape[0] < gam_b.shape[0] + v_count - 1:
@@ -344,11 +373,18 @@ def max_gap_profile(gam_a: np.ndarray, gam_b: np.ndarray, v_count: int) -> np.nd
     starts = np.flatnonzero(gam_b[1:] != gam_b[:-1] + 1) + 1
     tops = gam_b[starts]
     if v_count >= ROW_BLOCK_MIN_LEVELS:
-        for k, top in zip(starts.tolist(), tops.tolist()):
-            for v0 in range(0, v_count, GRID_BLOCK_CELLS):
-                v1 = min(v0 + GRID_BLOCK_CELLS, v_count)
-                np.maximum(out[v0:v1], top - gam_a[k + v0 : k + v1], out=out[v0:v1])
-        return out
+        # gam_a is increasing, so its ends bound it.
+        fits = 0 <= min(gam_a[0], gam_b.min()) and max(gam_a[-1], gam_b.max()) < 1 << 31
+        cell = np.int32 if fits else np.int64
+        gam_a = gam_a.astype(cell, copy=False)
+        out = out.astype(cell, copy=False)
+        pairs = list(zip(starts.tolist(), tops.tolist()))
+        for v0 in range(0, v_count, GRID_BLOCK_CELLS):
+            v1 = min(v0 + GRID_BLOCK_CELLS, v_count)
+            part = out[v0:v1]
+            for k, top in pairs:
+                np.maximum(part, top - gam_a[k + v0 : k + v1], out=part)
+        return out.astype(np.int64, copy=False)
     levels = np.arange(v_count, dtype=np.int64)
     rows = GRID_BLOCK_CELLS // v_count
     for lo in range(0, starts.shape[0], rows):

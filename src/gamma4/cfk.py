@@ -468,7 +468,12 @@ def _rank_test(complex_: BifilteredComplex):
 
     ``T``, ``r2`` and the homology of ``CF^-`` in grading ``d`` are computed
     once per grading; that homology must be 1 for ``d <= 0`` and 0 for
-    ``d = 2`` (checked at once), or ``NotSingleTowerError`` is raised.
+    ``d = 2``, or ``NotSingleTowerError`` is raised.  Gradings 2 and 0 are
+    checked at once, and so is the free rank of the homology over
+    ``F_2[U]``, which must be 1: it is ``n - 2 rank(d)`` with the rank over
+    ``F_2(U)``, and for a homogeneous boundary that is the F_2 rank of the
+    target masks.  So a second tower below every grading the queries visit
+    fails too.
     """
     targets, maslov, alexander = complex_._targets, complex_.maslov, complex_.alexander
     slices: dict[int, tuple[list[int], list[int], int]] = {}
@@ -501,6 +506,12 @@ def _rank_test(complex_: BifilteredComplex):
         return len(chosen) - r1 > r2 - r3
 
     grading_slice(2)
+    grading_slice(0)
+    free_rank = len(targets) - 2 * _kernels.f2_rank(targets)
+    if free_rank != 1:
+        raise NotSingleTowerError(
+            f"homology of CF^- has free rank {free_rank} over F_2[U], expected 1"
+        )
     return at_most
 
 

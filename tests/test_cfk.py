@@ -351,6 +351,41 @@ def test_rank_test_refuses_two_towers():
         vi_by_rank(BifilteredComplex(("x", "y"), (0, 0), (0, 0), ((), ())))
 
 
+@pytest.mark.parametrize("low", [-2, -4])
+def test_rank_test_refuses_a_second_tower_below_the_queries(low):
+    """Gradings 0 and 2 alone look like one tower topped at 0, and
+    ``V_0 = 0`` ends the queries there; the free rank sees the second."""
+    c = BifilteredComplex(("x", "y"), (0, low), (0, 0), ((), ()))
+    with pytest.raises(NotSingleTowerError):
+        vi_sequence(c)
+    with pytest.raises(NotSingleTowerError, match="free rank 2"):
+        vi_by_rank(c)
+
+
+def _direct_sum(c: BifilteredComplex, d: BifilteredComplex, shift: int) -> BifilteredComplex:
+    """``c`` plus a copy of ``d`` whose Maslov gradings move by ``shift``."""
+    n = len(c)
+    return BifilteredComplex(
+        tuple(f"c{i}" for i in c.ids) + tuple(f"d{i}" for i in d.ids),
+        c.maslov + tuple(m + shift for m in d.maslov),
+        c.alexander + d.alexander,
+        c.arrows + tuple(tuple((e, t + n) for e, t in terms) for terms in d.arrows),
+    )
+
+
+@pytest.mark.parametrize("shift", [-2, -4, -6])
+def test_free_rank_is_size_minus_twice_pattern_rank(shift):
+    """The free rank over F_2[U] that ``_rank_test`` checks is the one
+    ``homology_over_polynomial_ring`` reports, on one tower and on two."""
+    samples = [trefoil_staircase(), torus_staircase(3, 4), torus_staircase(3, 5)]
+    for c in samples:
+        for x in (c, _direct_sum(c, samples[1], shift)):
+            free = homology_over_polynomial_ring(x).free_rank
+            assert len(x) - 2 * _kernels.f2_rank(x._targets) == free
+        with pytest.raises(NotSingleTowerError, match="free rank 2"):
+            vi_by_rank(_direct_sum(c, samples[1], shift))
+
+
 @pytest.mark.parametrize("shift", [2, 4, 1, -1, -2])
 def test_rank_test_refuses_a_tower_off_grading_0(shift):
     """A tower topped anywhere but grading 0 fails hard; it never shifts

@@ -404,18 +404,23 @@ runs = st.lists(
     st.integers(min_value=1, max_value=40),
     # (GRID_BLOCK_CELLS, ROW_BLOCK_MIN_LEVELS): small blocks, both paths
     st.sampled_from([(3, 1), (64, 8), (64, 64), (1 << 16, 1 << 10)]),
+    # added to both arrays: rows in int32, near its top or across it, or
+    # in int64
+    st.sampled_from([0, 2**31 - 64, 2**40]),
 )
 @settings(max_examples=150, deadline=None)
-def test_max_gap_profile_matches_every_cell(b_runs, a_runs, v_count, block):
+def test_max_gap_profile_matches_every_cell(b_runs, a_runs, v_count, block, offset):
     cells, row_min = block
-    gam_b = np.array(increasing_with_runs(b_runs), dtype=np.int64)
+    gam_b = np.array(increasing_with_runs(b_runs), dtype=np.int64) + offset
     head = increasing_with_runs(a_runs)
     need = len(gam_b) + v_count - 1
     gam_a = np.array(head + list(range(head[-1] + 1, head[-1] + 1 + need)), dtype=np.int64)
+    gam_a += offset
     with mock.patch.object(_kernels, "GRID_BLOCK_CELLS", cells), mock.patch.object(
         _kernels, "ROW_BLOCK_MIN_LEVELS", row_min
     ):
         got = _kernels.max_gap_profile(gam_a, gam_b, v_count)
+    assert got.dtype == np.int64
     assert got.tolist() == max_gap_reference(gam_a, gam_b, v_count)
 
 
@@ -430,6 +435,53 @@ def test_max_gap_profile_long_profile_uses_rows():
     assert _kernels.max_gap_profile(gam_a, gam_b, v_count).tolist() == want
     with mock.patch.object(_kernels, "GRID_BLOCK_CELLS", 100):
         assert _kernels.max_gap_profile(gam_a, gam_b, v_count).tolist() == want
+
+
+def test_max_gap_profile_rows_across_int32():
+    # gam_a runs across 2**31, so the rows run in int64.  With gam_b near 0
+    # the cells fall below -2**31 as well, where int32 would wrap.
+    a = FormalSemigroup.from_generators(3, 1000)
+    b = FormalSemigroup.from_generators(2, 7)
+    v_count = 1500
+    for a_offset, b_offset in ((2**31 - 1000, 2**31 - 1000), (2**31 - 1000, 0)):
+        gam_a = a.enumerating_prefix(b.genus + v_count) + a_offset
+        gam_b = b.enumerating_prefix(b.genus + 1) + b_offset
+        assert gam_a[0] < 2**31 <= gam_a[-1]
+        want = max_gap_reference(gam_a, gam_b, v_count)
+        for cells in (_kernels.GRID_BLOCK_CELLS, 100):
+            with mock.patch.object(_kernels, "GRID_BLOCK_CELLS", cells):
+                got = _kernels.max_gap_profile(gam_a, gam_b, v_count)
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [0.5, 2.7, 3.0, 5.0],
+        np.array([0.0, 2.0, 3.0, 5.0]),
+        np.array([False, True, True, True]),
+        np.array([0, 2, 3, 2**70], dtype=object),
+        np.array([0, 2, 3, 5], dtype=np.uint64),
+    ],
+)
+def test_max_gap_profile_refuses_non_integer_input(bad):
+    """Floats would be truncated and uint64 wrapped by a cast to int64."""
+    good = np.array([0, 2, 3, 5], dtype=np.int64)
+    with pytest.raises(ValueError, match="gam_a must hold integers"):
+        _kernels.max_gap_profile(bad, good[:2], 2)
+    with pytest.raises(ValueError, match="gam_b must hold integers"):
+        _kernels.max_gap_profile(good, bad, 1)
+
+
+def test_max_gap_profile_takes_any_safe_integer_dtype():
+    gam_a, gam_b = [0, 2, 3, 5, 6], [0, 2, 3]
+    want = max_gap_reference(gam_a, gam_b, 3)
+    for dtype in (np.int8, np.int32, np.uint8, np.uint32, np.int64):
+        got = _kernels.max_gap_profile(np.array(gam_a, dtype), np.array(gam_b, dtype), 3)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+    assert _kernels.max_gap_profile(gam_a, gam_b, 3).tolist() == want
 
 
 def test_max_gap_profile_rejects_non_increasing_gam_a():
