@@ -23,16 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable
 
 from .expressions import KnotExpression, mirror, multiply
-from .nuplus import (
-    DEFAULT_GENUS_CAP,
-    profile_at,
-    t_from_profile,
-    vi_expr,
-)
+from .nuplus import profile_at, t_from_profile, vi_expr
 from .semigroups import FormalSemigroup
 from .torus import signature_expr
 
@@ -96,25 +90,19 @@ def _table(sigma: int, back_profile: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def main_bound(
-    expr: KnotExpression, genus_cap: int = DEFAULT_GENUS_CAP
-) -> int:
+def main_bound(expr: KnotExpression) -> int:
     """Best per-index bound, ``sigma/2 - t``."""
-    return max(_table(signature_expr(expr), vi_expr(mirror(expr), genus_cap)))
+    return max(_table(signature_expr(expr), vi_expr(mirror(expr))))
 
 
-def batson_bound(
-    expr: KnotExpression, genus_cap: int = DEFAULT_GENUS_CAP
-) -> int:
+def batson_bound(expr: KnotExpression) -> int:
     """The ``m = 0`` specialization, ``sigma/2 - 2 V_0(mirror)``."""
-    return signature_expr(expr) // 2 - 2 * vi_expr(mirror(expr), genus_cap)[0]
+    return signature_expr(expr) // 2 - 2 * vi_expr(mirror(expr))[0]
 
 
-def nu_plus_bound(
-    expr: KnotExpression, genus_cap: int = DEFAULT_GENUS_CAP
-) -> int:
+def nu_plus_bound(expr: KnotExpression) -> int:
     """The bound through the first vanishing index of the mirror profile."""
-    back = vi_expr(mirror(expr), genus_cap)
+    back = vi_expr(mirror(expr))
     return signature_expr(expr) // 2 - (len(back) - 1)
 
 
@@ -177,20 +165,19 @@ def _assemble(
 def report(
     expr: KnotExpression,
     horizon: int | None = None,
-    genus_cap: int = DEFAULT_GENUS_CAP,
     profile_of: Callable[[KnotExpression], tuple[int, ...]] | None = None,
 ) -> BoundReport:
     """Full bound report; ``horizon`` enables the stable bound over n <= horizon.
 
     Every torsion profile comes from ``profile_of`` (by default ``vi_expr``
-    under ``genus_cap``; the CLI passes its cache).  The mirror profile of
-    ``expr`` is computed once and serves both the per-index table and the
+    at the default genus cap; the CLI passes its cache).  The mirror profile
+    of ``expr`` is computed once and serves both the per-index table and the
     ``n = 1`` row of the stable bound.
     """
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if profile_of is None:
-        profile_of = partial(vi_expr, genus_cap=genus_cap)
+    if profile_of is None:  # looked up per call, so a wrapped vi_expr is seen
+        profile_of = vi_expr
     back_expr = mirror(expr)
     back_profile = profile_of(back_expr)
     sigma = signature_expr(expr)
@@ -272,7 +259,6 @@ def euler_obstruction(
     h: int,
     e: int,
     n_max: int,
-    genus_cap: int = DEFAULT_GENUS_CAP,
     _cells: Iterable[tuple[int, int]] | None = None,
 ) -> ObstructionOutcome:
     """Can a surface with first Betti number h and normal Euler number e span?
@@ -284,7 +270,7 @@ def euler_obstruction(
         raise OddEulerNumberError(f"normal Euler number must be even, got {e}")
     if h < 0:
         raise ValueError("first Betti number must be non-negative")
-    back = vi_expr(mirror(expr), genus_cap)
+    back = vi_expr(mirror(expr))
     return _scan(back, 2 * h, e, _cells if _cells is not None else _grid(n_max))
 
 
@@ -292,13 +278,12 @@ def genus_obstruction(
     expr: KnotExpression,
     h: int,
     n_max: int,
-    genus_cap: int = DEFAULT_GENUS_CAP,
     _cells: Iterable[tuple[int, int]] | None = None,
 ) -> ObstructionOutcome:
     """Euler-number-free obstruction: ``excluded`` certifies gamma4 > h."""
     if h < 0:
         raise ValueError("first Betti number must be non-negative")
-    back = vi_expr(mirror(expr), genus_cap)
+    back = vi_expr(mirror(expr))
     sigma = signature_expr(expr)
     return _scan(back, 4 * h, 2 * sigma, _cells if _cells is not None else _grid(n_max))
 
@@ -331,9 +316,7 @@ def _omega_table(
     return rows, OmegaEstimate(value=best, witness=witness)
 
 
-def omega_upper(
-    expr: KnotExpression, horizon: int, genus_cap: int = DEFAULT_GENUS_CAP
-) -> OmegaEstimate:
+def omega_upper(expr: KnotExpression, horizon: int) -> OmegaEstimate:
     """Least ``t(n * expr)/n`` over ``1 <= n <= horizon``.
 
     The limit of this ratio exists and equals its infimum, so every value is
@@ -341,15 +324,13 @@ def omega_upper(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    return _omega_table(expr, horizon, lambda e: vi_expr(e, genus_cap))[1]
+    return _omega_table(expr, horizon, vi_expr)[1]
 
 
-def stable_bound(
-    expr: KnotExpression, horizon: int, genus_cap: int = DEFAULT_GENUS_CAP
-) -> Fraction:
+def stable_bound(expr: KnotExpression, horizon: int) -> Fraction:
     """``sigma/2 - omega_upper``: a lower bound for the stable genus.
 
     Rounding up gives a bound for the plain non-orientable genus, occasionally
     beating ``main_bound``.
     """
-    return signature_expr(expr) // 2 - omega_upper(expr, horizon, genus_cap).value
+    return signature_expr(expr) // 2 - omega_upper(expr, horizon).value

@@ -226,14 +226,12 @@ def staircase_exponents(semigroup: FormalSemigroup) -> tuple[int, ...]:
     return tuple(d - g for d in support)
 
 
-def staircase_from_semigroup(
-    semigroup: FormalSemigroup, prefix: str = "y"
-) -> BifilteredComplex:
-    return staircase(staircase_exponents(semigroup), prefix=prefix)
+def staircase_from_semigroup(semigroup: FormalSemigroup) -> BifilteredComplex:
+    return staircase(staircase_exponents(semigroup))
 
 
-def trefoil_staircase(prefix: str = "y") -> BifilteredComplex:
-    return staircase((1, 0, -1), prefix=prefix)
+def trefoil_staircase() -> BifilteredComplex:
+    return staircase((1, 0, -1))
 
 
 def dual(complex_: BifilteredComplex) -> BifilteredComplex:
@@ -605,7 +603,7 @@ def verify_staircase2n(n: int) -> StaircaseSplitReport:
     for k in range(1, n):
         tag = f"step {k}->{k + 1}"
         left = staircase(range(k, -k - 1, -1), prefix="x")
-        tref = staircase((1, 0, -1), prefix="t")
+        tref = trefoil_staircase()
         # Rename trefoil generators to a, b, c for readable combination ids.
         tref = BifilteredComplex(
             ids=("a", "b", "c"),

@@ -26,9 +26,11 @@ stable machine schema, ``--decimal`` adds six-significant-digit decimal
 renderings marked inexact, ``--cache FILE`` memoises torsion profiles
 across invocations without ever changing a value, and ``--genus-cap G``
 bounds the total genus the router will expand into a tensor complex (a
-negative ``G`` is a usage error).  A one-sided sum of several knots folds
-by infimal convolution and never expands, but obeys the same cap;
-closed-form staircase pairs are exempt.
+negative ``G`` is a usage error).  ``G`` is given once to the profile
+cache, through which every subcommand reads its profiles, and to the
+router for ``cfk-dump``.  A one-sided sum of several knots folds by infimal
+convolution and never expands, but obeys the same cap; closed-form
+staircase pairs are exempt.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later call.
@@ -116,27 +118,29 @@ class ProfileCache:
 
     The store is a single JSON object mapping ``"<expression>|vi"`` to the
     profile; writes go through a sibling temporary file and an atomic
-    rename.  A hit is routed again before it is returned, so it can never
-    mask an error or return anything a cold run would not.
+    rename.  Every profile is read under the one ``genus_cap`` given at
+    construction.  A hit is routed again before it is returned, so it can
+    never mask an error or return anything a cold run would not.
     """
 
-    def __init__(self, path: str | None) -> None:
+    def __init__(self, path: str | None, genus_cap: int) -> None:
         self.path = path
+        self.genus_cap = genus_cap
         self.data: dict[str, list[int]] = {}
         self.dirty = False
         if path is not None and os.path.exists(path):
             with open(path, encoding="utf-8") as handle:
                 self.data = _checked_cache_data(json.load(handle))
 
-    def profile(self, expr: KnotExpression, genus_cap: int) -> tuple[int, ...]:
+    def profile(self, expr: KnotExpression) -> tuple[int, ...]:
         key = f"{render(expr)}|vi"
         hit = self.data.get(key)
         if hit is not None:
-            plan = route(expr, genus_cap)
+            plan = route(expr, self.genus_cap)
             if plan.kind == "unsupported":
                 raise UnsupportedExpressionError(plan.reason)
             return tuple(hit)
-        value = vi_expr(expr, genus_cap)  # routes, and refuses, by itself
+        value = vi_expr(expr, self.genus_cap)  # routes, and refuses, by itself
         self.data[key] = list(value)
         self.dirty = True
         return value
@@ -220,8 +224,8 @@ def _cmd_invariants(args, cache: ProfileCache) -> _Output:
     expr = parse(args.expr)
     canonical = render(expr)
     positive, negative = split_parts(expr)
-    forward = cache.profile(expr, args.genus_cap)
-    backward = cache.profile(mirror(expr), args.genus_cap)
+    forward = cache.profile(expr)
+    backward = cache.profile(mirror(expr))
     sigma = signature_expr(expr)
     summands = [
         (knot, coeff, alexander(knot.p, knot.q)) for knot, coeff in expr.terms
@@ -300,12 +304,7 @@ def _bound_lines_results(rep, decimal: bool) -> tuple[list[str], dict]:
 def _cmd_bound(args, cache: ProfileCache) -> _Output:
     expr = parse(args.expr)
     canonical = render(expr)
-    rep = report(
-        expr,
-        horizon=args.stable,
-        genus_cap=args.genus_cap,
-        profile_of=lambda e: cache.profile(e, args.genus_cap),
-    )
+    rep = report(expr, horizon=args.stable, profile_of=cache.profile)
     body, results = _bound_lines_results(rep, args.decimal)
     lines = [f"expression: {_display_expr(canonical)}"] + body
     info = {
@@ -325,10 +324,10 @@ def _cmd_d_invariant(args, cache: ProfileCache) -> _Output:
         raise ValueError("surgery framing must be nonzero")
     # Negative framings read the mirror's profile and flip the sign.
     if n > 0:
-        profile = cache.profile(expr, args.genus_cap)
+        profile = cache.profile(expr)
         values = [d_from_profile(profile, n, k) for k in range(n)]
     else:
-        profile = cache.profile(mirror(expr), args.genus_cap)
+        profile = cache.profile(mirror(expr))
         values = [-d_from_profile(profile, -n, k) for k in range(-n)]
     lines = [
         f"expression: {_display_expr(canonical)}",
@@ -353,9 +352,7 @@ def _cmd_omega(args, cache: ProfileCache) -> _Output:
     canonical = render(expr)
     if args.max_n < 1:
         raise ValueError("--max-n must be at least 1")
-    table, estimate = _omega_table(
-        expr, args.max_n, lambda e: cache.profile(e, args.genus_cap)
-    )
+    table, estimate = _omega_table(expr, args.max_n, cache.profile)
     rows = [
         {"n": n, "t": t, "ratio": ratio, "running_min": running}
         for n, t, ratio, running in table
@@ -604,7 +601,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     cache_path = getattr(args, "cache", None)
     try:
-        cache = ProfileCache(cache_path)
+        cache = ProfileCache(cache_path, args.genus_cap)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read cache file: {exc}", file=sys.stderr)
         return 2

@@ -92,9 +92,10 @@ class VRoute:
       convolution, or both sides are single two-generator semigroups (a
       lone summand, or ``n`` copies of ``T(p, p+1)`` collapsed to
       ``T(p, pn+1)``).  No complex is built.
-    * ``"complex"`` — several different staircases share a side while the
-      other side is nonempty; direct tensor computation over ``genus``
-      total genus.
+    * ``"complex"`` — several staircases (different knots, or copies of one
+      knot that no adjacent-power collapse removes) share a side while the
+      other side is nonempty; direct tensor computation over ``genus`` total
+      genus.
     * ``"unsupported"`` — the work would exceed the genus cap or the
       generator limit; ``reason`` says which.
     """
@@ -283,7 +284,7 @@ def _complex_route(
     genus_cap: int,
 ) -> VRoute:
     """Route to the direct tensor computation, budget permitting."""
-    preface = "several different staircases share a side"
+    preface = "several staircases share a side"
     total = positive.total_genus + negative.total_genus
     if total > genus_cap:
         return VRoute(
@@ -370,15 +371,11 @@ def t_from_profile(profile: tuple[int, ...]) -> int:
     return min(m + 2 * v for m, v in enumerate(profile))
 
 
-def t_invariant(
-    expr: KnotExpression, genus_cap: int = DEFAULT_GENUS_CAP
-) -> int:
+def t_invariant(expr: KnotExpression) -> int:
     """The packaged invariant ``min_m { m + 2 V_m(mirror) }``."""
-    return t_from_profile(vi_expr(mirror(expr), genus_cap))
+    return t_from_profile(vi_expr(mirror(expr)))
 
 
-def hom_wu_nu_plus(
-    expr: KnotExpression, genus_cap: int = DEFAULT_GENUS_CAP
-) -> int:
+def hom_wu_nu_plus(expr: KnotExpression) -> int:
     """First index where the torsion profile of ``expr`` reaches zero."""
-    return len(vi_expr(expr, genus_cap)) - 1
+    return len(vi_expr(expr)) - 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expressions import KnotExpression, mirror
-from .nuplus import DEFAULT_GENUS_CAP, profile_at, vi_expr
+from .nuplus import profile_at, vi_expr
 
 
 @dataclass(frozen=True)
@@ -45,27 +45,17 @@ def d_from_profile(values: tuple[int, ...], n: int, k: int) -> Fraction:
     return quadratic - 2 * max(profile_at(values, k), profile_at(values, n - k))
 
 
-def d_invariant(
-    expr: KnotExpression,
-    n: int,
-    k: int,
-    genus_cap: int = DEFAULT_GENUS_CAP,
-) -> Fraction:
+def d_invariant(expr: KnotExpression, n: int, k: int) -> Fraction:
     """Correction term of positive ``n``-surgery in the spin^c structure ``k``."""
     if n < 1:
         raise ValueError("framing must be positive; use d_invariant_negative")
     SpincLabel(n, k)
-    return d_from_profile(vi_expr(expr, genus_cap), n, k)
+    return d_from_profile(vi_expr(expr), n, k)
 
 
-def d_invariant_negative(
-    expr: KnotExpression,
-    n: int,
-    k: int,
-    genus_cap: int = DEFAULT_GENUS_CAP,
-) -> Fraction:
+def d_invariant_negative(expr: KnotExpression, n: int, k: int) -> Fraction:
     """Correction term of negative ``n``-surgery (``n < 0``), via the mirror."""
     if n > -1:
         raise ValueError("framing must be negative; use d_invariant for n > 0")
     SpincLabel(n, k)
-    return -d_invariant(mirror(expr), -n, k, genus_cap)
+    return -d_invariant(mirror(expr), -n, k)

@@ -95,6 +95,14 @@ def test_genus_cap_flag_limits_expansion(capsys):
         (("--genus-cap", "0", "invariants", "T(2,3) + T(2,5)"), 3,
          "unsupported: reduced genus 3 exceeds the cap 0\n"),
         (("--genus-cap", "0", "invariants", "T(2,3)"), 0, ""),
+        # the cap reaches the profiles of every multiple and of the mirror
+        (("bound", "T(2,3) + T(2,5)", "--stable", "2", "--genus-cap", "4"), 3,
+         "unsupported: reduced genus 6 exceeds the cap 4\n"),
+        (("bound", "T(2,3) + T(2,5)", "--stable", "1", "--genus-cap", "4"), 0, ""),
+        (("omega", "T(2,3) + T(2,5)", "--max-n", "2", "--genus-cap", "4"), 3,
+         "unsupported: reduced genus 6 exceeds the cap 4\n"),
+        (("d-invariant", "T(2,3) + T(2,5)", "-3", "--genus-cap", "2"), 3,
+         "unsupported: reduced genus 3 exceeds the cap 2\n"),
     ],
 )
 def test_genus_cap_must_not_be_negative(capsys, argv, code, err):
@@ -108,18 +116,24 @@ def test_genus_cap_must_not_be_negative(capsys, argv, code, err):
     [("invariants",), ("bound",), ("d-invariant", "5"), ("omega", "--max-n", "3")],
 )
 @pytest.mark.parametrize(
-    "text, reason",
+    "text, flags, reason",
     [
-        ("1000000000*T(2,5)", "reduced genus 2000000000 exceeds the cap 60"),
+        ("1000000000*T(2,5)", (), "reduced genus 2000000000 exceeds the cap 60"),
         (
             "1000000000*T(2,5) - T(2,3)",
-            "several different staircases share a side; "
+            (),
+            "several staircases share a side; "
             "total genus 2000000001 exceeds the cap 60",
+        ),
+        (
+            "2*T(3,5) - T(2,7)",
+            ("--genus-cap", "5"),
+            "several staircases share a side; total genus 11 exceeds the cap 5",
         ),
     ],
 )
-def test_huge_coefficients_are_refused_at_once(capsys, argv, text, reason):
-    code, out, err = run_cli(capsys, argv[0], text, *argv[1:])
+def test_huge_coefficients_are_refused_at_once(capsys, argv, text, flags, reason):
+    code, out, err = run_cli(capsys, argv[0], text, *argv[1:], *flags)
     assert (code, out, err) == (3, "", f"unsupported: {reason}\n")
 
 

@@ -23,6 +23,7 @@ from gamma4.nuplus import (
     hom_wu_nu_plus,
     nu_plus_v,
     route,
+    t_from_profile,
     t_invariant,
     tensor_complex,
     vi_expr,
@@ -281,7 +282,8 @@ def test_mixed_multifactor_closed_form_fails():
 
 def test_adjacent_powers_bypass_genus_cap():
     # 50 copies on each side reduce via single representatives; no cap applies.
-    assert t_invariant(parse("50*T(2,3) - 50*T(5,6)"), genus_cap=60) == 261
+    expr = mirror(parse("50*T(2,3) - 50*T(5,6)"))
+    assert t_from_profile(vi_expr(expr, genus_cap=60)) == 261
 
 
 @given(semigroups, semigroups, st.integers(min_value=0, max_value=40))
