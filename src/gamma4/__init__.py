@@ -37,7 +37,6 @@ from .cfk import (
     staircase,
     staircase_from_semigroup,
     tensor,
-    tensor_power,
     v_invariant,
     verify_staircase2n,
     vi_sequence,
@@ -59,6 +58,7 @@ from .nuplus import (
     nu_plus_v,
     route,
     t_invariant,
+    tensor_fold,
     vi_expr,
     vi_tensor_oracle,
 )
@@ -120,7 +120,7 @@ __all__ = [
     "staircase_from_semigroup",
     "t_invariant",
     "tensor",
-    "tensor_power",
+    "tensor_fold",
     "thin_bounds",
     "upsilon_bound",
     "upsilon_expr",

@@ -91,19 +91,18 @@ def _table(sigma: int, back_profile: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def main_bound(expr: KnotExpression) -> int:
-    """Best per-index bound, ``sigma/2 - t``."""
-    return max(_table(signature_expr(expr), vi_expr(mirror(expr))))
+    """Best per-index bound, ``sigma/2 - t``: ``report(expr).main``."""
+    return report(expr).main
 
 
 def batson_bound(expr: KnotExpression) -> int:
     """The ``m = 0`` specialization, ``sigma/2 - 2 V_0(mirror)``."""
-    return signature_expr(expr) // 2 - 2 * vi_expr(mirror(expr))[0]
+    return report(expr).batson
 
 
 def nu_plus_bound(expr: KnotExpression) -> int:
     """The bound through the first vanishing index of the mirror profile."""
-    back = vi_expr(mirror(expr))
-    return signature_expr(expr) // 2 - (len(back) - 1)
+    return report(expr).nu_plus_bound
 
 
 def upsilon_torus(p: int, q: int) -> int:
@@ -172,7 +171,9 @@ def report(
     Every torsion profile comes from ``profile_of`` (by default ``vi_expr``
     at the default genus cap; the CLI passes its cache).  The mirror profile
     of ``expr`` is computed once and serves both the per-index table and the
-    ``n = 1`` row of the stable bound.
+    ``n = 1`` row of the stable bound.  This is the one derivation of every
+    bound: ``main_bound``, ``batson_bound``, ``nu_plus_bound`` and
+    ``stable_bound`` each return one field of it.
     """
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -183,7 +184,7 @@ def report(
     sigma = signature_expr(expr)
     stable = witness = None
     if horizon is not None:
-        _, estimate = _omega_table(
+        _, estimate = omega_table(
             expr,
             horizon,
             lambda e: back_profile if e == back_expr else profile_of(e),
@@ -255,11 +256,7 @@ def _scan(
 
 
 def euler_obstruction(
-    expr: KnotExpression,
-    h: int,
-    e: int,
-    n_max: int,
-    _cells: Iterable[tuple[int, int]] | None = None,
+    expr: KnotExpression, h: int, e: int, n_max: int
 ) -> ObstructionOutcome:
     """Can a surface with first Betti number h and normal Euler number e span?
 
@@ -271,21 +268,16 @@ def euler_obstruction(
     if h < 0:
         raise ValueError("first Betti number must be non-negative")
     back = vi_expr(mirror(expr))
-    return _scan(back, 2 * h, e, _cells if _cells is not None else _grid(n_max))
+    return _scan(back, 2 * h, e, _grid(n_max))
 
 
-def genus_obstruction(
-    expr: KnotExpression,
-    h: int,
-    n_max: int,
-    _cells: Iterable[tuple[int, int]] | None = None,
-) -> ObstructionOutcome:
+def genus_obstruction(expr: KnotExpression, h: int, n_max: int) -> ObstructionOutcome:
     """Euler-number-free obstruction: ``excluded`` certifies gamma4 > h."""
     if h < 0:
         raise ValueError("first Betti number must be non-negative")
     back = vi_expr(mirror(expr))
     sigma = signature_expr(expr)
-    return _scan(back, 4 * h, 2 * sigma, _cells if _cells is not None else _grid(n_max))
+    return _scan(back, 4 * h, 2 * sigma, _grid(n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +285,23 @@ def genus_obstruction(
 # ---------------------------------------------------------------------------
 
 
-def _omega_table(
+def omega_table(
     expr: KnotExpression,
     horizon: int,
-    profile_of: Callable[[KnotExpression], tuple[int, ...]],
+    profile_of: Callable[[KnotExpression], tuple[int, ...]] | None = None,
 ) -> tuple[list[tuple[int, int, Fraction, Fraction]], OmegaEstimate]:
     """Rows ``(n, t(n E), t(n E)/n, running minimum)`` for ``1 <= n <= horizon``.
 
-    Also returns the least ratio with the first ``n`` that attains it.
-    ``t(n E)`` is read off ``profile_of(mirror(n E))``, so callers choose
-    where profiles come from (the CLI reads them through its cache).
+    Also returns the least ratio with the first ``n`` that attains it.  This
+    is the one loop over multiples: ``omega_upper``, the stable bound of
+    ``report`` and the CLI's ``omega`` table all read it.  ``t(n E)`` is read
+    off ``profile_of(mirror(n E))`` (by default ``vi_expr``; the CLI passes
+    its cache).  A horizon below 1 raises ``ValueError``.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if profile_of is None:  # looked up per call, so a wrapped vi_expr is seen
+        profile_of = vi_expr
     rows = []
     best: Fraction | None = None
     witness = 1
@@ -317,20 +315,19 @@ def _omega_table(
 
 
 def omega_upper(expr: KnotExpression, horizon: int) -> OmegaEstimate:
-    """Least ``t(n * expr)/n`` over ``1 <= n <= horizon``.
+    """Least ``t(n * expr)/n`` over ``1 <= n <= horizon``, read from ``omega_table``.
 
     The limit of this ratio exists and equals its infimum, so every value is
-    an upper bound for the limit; larger horizons can only improve it.
+    an upper bound for the limit; larger horizons can only improve it.  A
+    horizon below 1 raises ``ValueError``.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    return _omega_table(expr, horizon, vi_expr)[1]
+    return omega_table(expr, horizon)[1]
 
 
 def stable_bound(expr: KnotExpression, horizon: int) -> Fraction:
     """``sigma/2 - omega_upper``: a lower bound for the stable genus.
 
     Rounding up gives a bound for the plain non-orientable genus, occasionally
-    beating ``main_bound``.
+    beating ``main_bound``.  This is ``report(expr, horizon).stable``.
     """
-    return signature_expr(expr) // 2 - omega_upper(expr, horizon).value
+    return report(expr, horizon).stable

@@ -280,15 +280,6 @@ def tensor(left: BifilteredComplex, right: BifilteredComplex) -> BifilteredCompl
     )
 
 
-def tensor_power(complex_: BifilteredComplex, n: int) -> BifilteredComplex:
-    if n < 1:
-        raise ValueError("tensor power needs n >= 1")
-    out = complex_
-    for _ in range(n - 1):
-        out = tensor(out, complex_)
-    return out
-
-
 def subcomplex_at_level(complex_: BifilteredComplex, s: int) -> BifilteredComplex:
     """The subcomplex generated by U^{max(0, A(x) - s)} x for every generator x.
 

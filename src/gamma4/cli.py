@@ -47,11 +47,11 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import __version__
-from .bounds import _omega_table, report, thin_bounds
+from .bounds import omega_table, report, thin_bounds
 from .expressions import (
     KnotExpression,
     mirror,
@@ -165,19 +165,20 @@ class ProfileCache:
 # ---------------------------------------------------------------------------
 
 
-def _jsonify(value, decimal: bool):
-    """Make a nested result JSON-ready; fractions become num/den pairs."""
-    if isinstance(value, Fraction):
-        out: dict = {"num": value.numerator, "den": value.denominator}
-        if decimal:
-            out["decimal"] = f"{float(value):.6g}"
-            out["inexact"] = True
-        return out
-    if isinstance(value, dict):
-        return {key: _jsonify(inner, decimal) for key, inner in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(inner, decimal) for inner in value]
-    return value
+def _fraction_json(value, decimal: bool) -> dict:
+    """The ``default=`` hook of the JSON encoder: a fraction as a num/den pair.
+
+    With ``decimal`` the pair also carries a six-significant-digit
+    ``decimal`` rendering marked ``inexact``.  Any other type the encoder
+    cannot write raises ``TypeError``.
+    """
+    if not isinstance(value, Fraction):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    out: dict = {"num": value.numerator, "den": value.denominator}
+    if decimal:
+        out["decimal"] = f"{float(value):.6g}"
+        out["inexact"] = True
+    return out
 
 
 def _frac_text(value: Fraction, decimal: bool) -> str:
@@ -285,20 +286,7 @@ def _bound_lines_results(rep, decimal: bool) -> tuple[list[str], dict]:
         )
     lines.append(f"side: {rep.side}")
     lines.append(f"final lower bound: {rep.final_gamma4_lower}")
-    results = {
-        "sigma": rep.sigma,
-        "t": rep.t,
-        "table": list(rep.table),
-        "batson": rep.batson,
-        "nu_plus_bound": rep.nu_plus_bound,
-        "main": rep.main,
-        "upsilon_bound": rep.upsilon_bound,
-        "stable": rep.stable,
-        "stable_witness": rep.stable_witness,
-        "side": rep.side,
-        "final_gamma4_lower": rep.final_gamma4_lower,
-    }
-    return lines, results
+    return lines, asdict(rep)
 
 
 def _cmd_bound(args, cache: ProfileCache) -> _Output:
@@ -352,7 +340,7 @@ def _cmd_omega(args, cache: ProfileCache) -> _Output:
     canonical = render(expr)
     if args.max_n < 1:
         raise ValueError("--max-n must be at least 1")
-    table, estimate = _omega_table(expr, args.max_n, cache.profile)
+    table, estimate = omega_table(expr, args.max_n, cache.profile)
     rows = [
         {"n": n, "t": t, "ratio": ratio, "running_min": running}
         for n, t, ratio, running in table
@@ -622,9 +610,10 @@ def main(argv: list[str] | None = None) -> int:
         payload = {
             "input": out.input_info,
             "version": __version__,
-            "results": _jsonify(out.results, args.decimal),
+            "results": out.results,
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        hook = functools.partial(_fraction_json, decimal=args.decimal)
+        print(json.dumps(payload, sort_keys=True, indent=2, default=hook))
     else:
         for line in out.lines:
             print(line)

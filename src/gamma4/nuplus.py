@@ -299,13 +299,17 @@ def _complex_route(
     return VRoute(kind="complex", genus=total, reason=preface)
 
 
-def _fold(pieces: list[BifilteredComplex]) -> BifilteredComplex:
-    """Tensor the pieces left to right, longest first; the unknot if none."""
+def tensor_fold(pieces: list[BifilteredComplex]) -> BifilteredComplex:
+    """Tensor the pieces left to right, longest first; the unknot if none.
+
+    The order is that of a sorted copy, so the caller's list is left as it
+    was.  ``tensor_fold([c] * n)`` is the ``n``-fold tensor power of ``c``.
+    """
     if not pieces:
         return staircase_from_semigroup(UNKNOT_SEMIGROUP)
-    pieces.sort(key=len, reverse=True)
-    acc = pieces[0]
-    for nxt in pieces[1:]:
+    ordered = sorted(pieces, key=len, reverse=True)
+    acc = ordered[0]
+    for nxt in ordered[1:]:
         acc = tensor(acc, nxt)
     return acc
 
@@ -323,7 +327,7 @@ def tensor_complex(expr: KnotExpression) -> BifilteredComplex:
     pieces += [
         dual(staircase_from_semigroup(s)) for s in _part_factors(negative)
     ]
-    return _fold(pieces)
+    return tensor_fold(pieces)
 
 
 def vi_tensor_oracle(expr: KnotExpression) -> tuple[int, ...]:
@@ -342,7 +346,7 @@ def vi_tensor_oracle(expr: KnotExpression) -> tuple[int, ...]:
     for knot, count in negative:
         sg = FormalSemigroup.from_generators(knot.p, knot.q)
         pieces.extend([dual(staircase_from_semigroup(sg))] * count)
-    return vi_sequence(_fold(pieces))
+    return vi_sequence(tensor_fold(pieces))
 
 
 def vi_expr(

@@ -78,12 +78,6 @@ def vi_lspace(p: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def genus(p: int, q: int) -> int:
-    """Seifert genus of T(p, q); 0 for the unknot."""
-    knot = torus_knot(p, q)
-    return 0 if knot is None else knot.genus
-
-
 # ---------------------------------------------------------------------------
 # Signatures
 # ---------------------------------------------------------------------------

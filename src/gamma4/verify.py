@@ -16,13 +16,12 @@ from math import gcd
 from .bounds import (
     batson_bound,
     main_bound,
+    omega_table,
     report,
-    stable_bound,
     upsilon_bound,
 )
 from .cfk import (
     staircase_from_semigroup,
-    tensor_power,
     verify_staircase2n,
     vi_sequence,
 )
@@ -32,6 +31,7 @@ from .nuplus import (
     hom_wu_nu_plus,
     route,
     t_invariant,
+    tensor_fold,
     vi_expr,
     vi_tensor_oracle,
 )
@@ -154,8 +154,7 @@ def check_example_section() -> list[VerifyCheck]:
     ]
     above: list[str] = []
     limit = Fraction(26, 5)
-    for n in range(1, 51):
-        ratio = Fraction(t_invariant(multiply(HEADLINE, n)), n)
+    for n, _, ratio, _ in omega_table(HEADLINE, 50)[0]:
         if not ratio > limit:
             above.append(f"n={n}: t(nK)/n = {ratio} not above {limit}")
     checks.append(
@@ -407,7 +406,7 @@ def check_oracles() -> list[VerifyCheck]:
     power_grid = [(p, n) for p in (2, 3, 5) for n in range(1, 5)]
     for p, n in power_grid:
         base = staircase_from_semigroup(FormalSemigroup.from_generators(p, p + 1))
-        if vi_sequence(tensor_power(base, n)) != vi_lspace(p, p * n + 1):
+        if vi_sequence(tensor_fold([base] * n)) != vi_lspace(p, p * n + 1):
             power_mismatch.append(f"p={p}, n={n}")
     checks.append(
         _tally(
@@ -542,7 +541,7 @@ def check_superadditivity() -> list[VerifyCheck]:
             "superadditivity/stable",
             "stable bound of T(2,3) - T(5,6) at horizon 50",
             Fraction(41, 23),
-            stable_bound(HEADLINE, 50),
+            rep.stable,
         ),
         _expect(
             "superadditivity/witness",

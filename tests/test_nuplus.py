@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import gamma4.cfk
 import gamma4.nuplus
 from gamma4 import _kernels
-from gamma4.cfk import staircase_exponents, vi_sequence
+from gamma4.cfk import staircase_exponents, tensor, vi_sequence
 from gamma4.expressions import KnotExpression, mirror, parse
 from gamma4.nuplus import (
     UnsupportedExpressionError,
@@ -26,6 +26,7 @@ from gamma4.nuplus import (
     t_from_profile,
     t_invariant,
     tensor_complex,
+    tensor_fold,
     vi_expr,
     vi_from_nuplus,
     vi_tensor_oracle,
@@ -63,10 +64,22 @@ def test_vi_expr_headline_values():
 
 
 def test_empty_fold_is_the_unknot():
-    # both tensor folds start from the one-generator unknot staircase
+    # both tensor paths start from the one-generator unknot staircase
+    assert len(tensor_fold([])) == 1
+    assert vi_sequence(tensor_fold([])) == (0,)
     assert len(tensor_complex(parse(""))) == 1
     assert vi_sequence(tensor_complex(parse(""))) == (0,)
     assert vi_tensor_oracle(parse("")) == (0,)
+
+
+def test_tensor_fold_leaves_its_argument_unsorted():
+    short = gamma4.cfk.trefoil_staircase()
+    long = gamma4.cfk.staircase_from_semigroup(FormalSemigroup.from_generators(3, 4))
+    pieces = [short, long]
+    assert len(short) < len(long)
+    folded = tensor_fold(pieces)
+    assert pieces[0] is short and pieces[1] is long and len(pieces) == 2
+    assert folded == tensor(long, short)  # longest first
 
 
 def test_t_invariant_values():
