@@ -172,7 +172,7 @@ def _canonical_arrows(raw: list[list[Arrow]]) -> tuple[tuple[Arrow, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def staircase(exponents, prefix: str = "y") -> BifilteredComplex:
+def staircase(exponents) -> BifilteredComplex:
     """Staircase complex on a strictly decreasing symmetric exponent list.
 
     Generators ``y1 .. y_{2r+1}`` carry Alexander levels given by the
@@ -200,7 +200,7 @@ def staircase(exponents, prefix: str = "y") -> BifilteredComplex:
         arrows[i].append((alpha[i - 1] - alpha[i], i - 1))
         arrows[i].append((0, i + 1))
     return BifilteredComplex(
-        ids=tuple(f"{prefix}{i + 1}" for i in range(n)),
+        ids=tuple(f"y{i + 1}" for i in range(n)),
         maslov=tuple(maslov),
         alexander=tuple(alpha),
         arrows=_canonical_arrows(arrows),
@@ -593,7 +593,7 @@ def verify_staircase2n(n: int) -> StaircaseSplitReport:
 
     for k in range(1, n):
         tag = f"step {k}->{k + 1}"
-        left = staircase(range(k, -k - 1, -1), prefix="x")
+        left = staircase(range(k, -k - 1, -1))
         tref = trefoil_staircase()
         # Rename trefoil generators to a, b, c for readable combination ids.
         tref = BifilteredComplex(
@@ -607,7 +607,7 @@ def verify_staircase2n(n: int) -> StaircaseSplitReport:
         pos = {gid: i for i, gid in enumerate(full.ids)}
 
         def gen(i: int, letter: str) -> int:
-            return pos[f"x{i}*{letter}"]
+            return pos[f"y{i}*{letter}"]
 
         combos: list[tuple[str, int]] = []  # (label, F2 bitmask over generators)
         combos.append(("v1", 1 << gen(1, "a")))
@@ -713,7 +713,7 @@ def verify_staircase2n(n: int) -> StaircaseSplitReport:
         record(f"{tag}: rank-4 blocks acyclic", acyclic_ok, detail)
 
         reduced = block_complex(v_slice)
-        target = staircase(range(k + 1, -k - 2, -1), prefix="y")
+        target = staircase(range(k + 1, -k - 2, -1))
         if reduced is None:
             record(f"{tag}: reduced subspace matches bigger staircase", False, "non-monomial entry")
             continue

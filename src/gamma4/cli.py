@@ -32,6 +32,13 @@ router for ``cfk-dump``.  A one-sided sum of several knots folds by infimal
 convolution and never expands, but obeys the same cap; closed-form
 staircase pairs are exempt.
 
+``main`` is the one frame every subcommand shares.  It parses ``EXPR``
+once, before any handler runs; writes the ``input`` object of ``--json``
+(the command, and for a subcommand that takes ``EXPR`` its canonical
+form and the genus cap, merged with the handler's own inputs); and maps
+refusals to exit codes.  The handlers only compute.  An empty ``--cache``
+path is refused (exit 2) before any work.
+
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later call.
 
@@ -62,7 +69,7 @@ from .expressions import (
 from .nuplus import (
     DEFAULT_GENUS_CAP,
     UnsupportedExpressionError,
-    _generator_excess,
+    generator_excess,
     route,
     t_from_profile,
     tensor_complex,
@@ -76,7 +83,8 @@ from .verify import run as run_verify
 
 @dataclass
 class _Output:
-    """What a subcommand produced: text lines, JSON results, exit code."""
+    """What a subcommand produced: its own inputs, text lines, JSON results,
+    exit code.  ``main`` records the command, expression and genus cap."""
 
     input_info: dict
     lines: list[str]
@@ -128,6 +136,8 @@ class ProfileCache:
         self.genus_cap = genus_cap
         self.data: dict[str, list[int]] = {}
         self.dirty = False
+        if path == "":
+            raise ValueError("the path is empty")
         if path is not None and os.path.exists(path):
             with open(path, encoding="utf-8") as handle:
                 self.data = _checked_cache_data(json.load(handle))
@@ -212,8 +222,8 @@ def _poly_text(coeffs: dict[int, int]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _display_expr(canonical: str) -> str:
-    return canonical if canonical else "(unknot)"
+def _heading(expr: KnotExpression) -> str:
+    return f"expression: {render(expr) or '(unknot)'}"
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +231,7 @@ def _display_expr(canonical: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_invariants(args, cache: ProfileCache) -> _Output:
-    expr = parse(args.expr)
-    canonical = render(expr)
+def _cmd_invariants(args, expr: KnotExpression, cache: ProfileCache) -> _Output:
     positive, negative = split_parts(expr)
     forward = cache.profile(expr)
     backward = cache.profile(mirror(expr))
@@ -232,7 +240,7 @@ def _cmd_invariants(args, cache: ProfileCache) -> _Output:
         (knot, coeff, alexander(knot.p, knot.q)) for knot, coeff in expr.terms
     ]
     lines = [
-        f"expression: {_display_expr(canonical)}",
+        _heading(expr),
         f"signature: {sigma}",
         f"genus: positive part {positive.total_genus}, "
         f"negative part {negative.total_genus}",
@@ -264,8 +272,7 @@ def _cmd_invariants(args, cache: ProfileCache) -> _Output:
         "nu_plus": len(forward) - 1,
         "t": t_from_profile(backward),
     }
-    info = {"command": "invariants", "expression": canonical, "genus_cap": args.genus_cap}
-    return _Output(info, lines, results)
+    return _Output({}, lines, results)
 
 
 def _bound_lines_results(rep, decimal: bool) -> tuple[list[str], dict]:
@@ -289,24 +296,13 @@ def _bound_lines_results(rep, decimal: bool) -> tuple[list[str], dict]:
     return lines, asdict(rep)
 
 
-def _cmd_bound(args, cache: ProfileCache) -> _Output:
-    expr = parse(args.expr)
-    canonical = render(expr)
+def _cmd_bound(args, expr: KnotExpression, cache: ProfileCache) -> _Output:
     rep = report(expr, horizon=args.stable, profile_of=cache.profile)
     body, results = _bound_lines_results(rep, args.decimal)
-    lines = [f"expression: {_display_expr(canonical)}"] + body
-    info = {
-        "command": "bound",
-        "expression": canonical,
-        "genus_cap": args.genus_cap,
-        "stable_horizon": args.stable,
-    }
-    return _Output(info, lines, results)
+    return _Output({"stable_horizon": args.stable}, [_heading(expr)] + body, results)
 
 
-def _cmd_d_invariant(args, cache: ProfileCache) -> _Output:
-    expr = parse(args.expr)
-    canonical = render(expr)
+def _cmd_d_invariant(args, expr: KnotExpression, cache: ProfileCache) -> _Output:
     n = args.n
     if n == 0:
         raise ValueError("surgery framing must be nonzero")
@@ -317,27 +313,15 @@ def _cmd_d_invariant(args, cache: ProfileCache) -> _Output:
     else:
         profile = cache.profile(mirror(expr))
         values = [-d_from_profile(profile, -n, k) for k in range(-n)]
-    lines = [
-        f"expression: {_display_expr(canonical)}",
-        f"framing: {n}",
-    ]
+    lines = [_heading(expr), f"framing: {n}"]
     lines += [
         f"k = {k}: {_frac_text(value, args.decimal)}"
         for k, value in enumerate(values)
     ]
-    results = {"framing": n, "d": values}
-    info = {
-        "command": "d-invariant",
-        "expression": canonical,
-        "framing": n,
-        "genus_cap": args.genus_cap,
-    }
-    return _Output(info, lines, results)
+    return _Output({"framing": n}, lines, {"framing": n, "d": values})
 
 
-def _cmd_omega(args, cache: ProfileCache) -> _Output:
-    expr = parse(args.expr)
-    canonical = render(expr)
+def _cmd_omega(args, expr: KnotExpression, cache: ProfileCache) -> _Output:
     if args.max_n < 1:
         raise ValueError("--max-n must be at least 1")
     table, estimate = omega_table(expr, args.max_n, cache.profile)
@@ -360,7 +344,7 @@ def _cmd_omega(args, cache: ProfileCache) -> _Output:
             )
         )
     widths = [max(len(row[col]) for row in cells) for col in range(4)]
-    lines = [f"expression: {_display_expr(canonical)}"]
+    lines = [_heading(expr)]
     lines += [
         "  ".join(entry.rjust(width) for entry, width in zip(row, widths))
         for row in cells
@@ -376,24 +360,17 @@ def _cmd_omega(args, cache: ProfileCache) -> _Output:
         "witness": witness,
         "strictly_decreasing": strictly_decreasing,
     }
-    info = {
-        "command": "omega",
-        "expression": canonical,
-        "max_n": args.max_n,
-        "genus_cap": args.genus_cap,
-    }
-    return _Output(info, lines, results)
+    return _Output({"max_n": args.max_n}, lines, results)
 
 
-def _cmd_thin(args, cache: ProfileCache) -> _Output:
+def _cmd_thin(args, expr: None, cache: ProfileCache) -> _Output:
     rep = thin_bounds(args.tau, args.sigma)
     body, results = _bound_lines_results(rep, args.decimal)
     lines = [f"thin knot: tau = {args.tau}, sigma = {args.sigma}"] + body
-    info = {"command": "thin", "tau": args.tau, "sigma": args.sigma}
-    return _Output(info, lines, results)
+    return _Output({"tau": args.tau, "sigma": args.sigma}, lines, results)
 
 
-def _cmd_verify(args, cache: ProfileCache) -> _Output:
+def _cmd_verify(args, expr: None, cache: ProfileCache) -> _Output:
     outcome = run_verify(args.subset)
     lines = []
     for check in outcome.checks:
@@ -419,27 +396,20 @@ def _cmd_verify(args, cache: ProfileCache) -> _Output:
         ],
         "overall": outcome.overall,
     }
-    info = {"command": "verify", "subset": args.subset}
-    return _Output(info, lines, results, code=0 if outcome.overall else 1)
+    code = 0 if outcome.overall else 1
+    return _Output({"subset": args.subset}, lines, results, code)
 
 
-def _cmd_cfk_dump(args, cache: ProfileCache) -> _Output:
-    expr = parse(args.expr)
-    canonical = render(expr)
+def _cmd_cfk_dump(args, expr: KnotExpression, cache: ProfileCache) -> _Output:
     plan = route(expr, args.genus_cap)
     if plan.kind == "unsupported":
         raise UnsupportedExpressionError(plan.reason)
     # a closed-form route builds no complex, but the dump always does
-    excess = _generator_excess(expr)
+    excess = generator_excess(expr)
     if excess:
         raise UnsupportedExpressionError(excess)
     text = tensor_complex(expr).dump()
-    info = {
-        "command": "cfk-dump",
-        "expression": canonical,
-        "genus_cap": args.genus_cap,
-    }
-    return _Output(info, text.splitlines(), {"dump": text})
+    return _Output({}, text.splitlines(), {"dump": text})
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +563,13 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read cache file: {exc}", file=sys.stderr)
         return 2
+    info = {"command": args.command}
+    expr = None
     try:
-        out = args.handler(args, cache)
+        if "expr" in args:
+            expr = parse(args.expr)
+            info.update(expression=render(expr), genus_cap=args.genus_cap)
+        out = args.handler(args, expr, cache)
     except UnsupportedExpressionError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 3
@@ -608,7 +583,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if json_mode:
         payload = {
-            "input": out.input_info,
+            "input": info | out.input_info,
             "version": __version__,
             "results": out.results,
         }

@@ -266,7 +266,7 @@ def route(expr: KnotExpression, genus_cap: int = DEFAULT_GENUS_CAP) -> VRoute:
     )
 
 
-def _generator_excess(expr: KnotExpression) -> str:
+def generator_excess(expr: KnotExpression) -> str:
     """Why the tensor complex of ``expr`` is too big, or ``""`` if it is not."""
     generators = _tensor_generator_count(expr)
     if generators > COMPLEX_GENERATOR_LIMIT:
@@ -293,7 +293,7 @@ def _complex_route(
                 f"{preface}; total genus {total} exceeds the cap {genus_cap}"
             ),
         )
-    excess = _generator_excess(expr)
+    excess = generator_excess(expr)
     if excess:
         return VRoute(kind="unsupported", reason=f"{preface}; {excess}")
     return VRoute(kind="complex", genus=total, reason=preface)

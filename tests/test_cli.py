@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -367,14 +368,42 @@ def test_cache_hits_are_routed_again(tmp_path, capsys):
     assert "cap" in err
 
 
-def test_cache_rejects_malformed_file(tmp_path, capsys):
+# a malformed cache is reported before a malformed expression (the link)
+@pytest.mark.parametrize("text", ["T(2,3)", "T(2,4)"])
+def test_cache_rejects_malformed_file(tmp_path, capsys, text):
     store = tmp_path / "cache.json"
     store.write_text("not json{")
-    code, _, err = run_cli(
-        capsys, "invariants", "T(2,3)", "--cache", str(store)
-    )
+    code, out, err = run_cli(capsys, "invariants", text, "--cache", str(store))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read cache file: ")
+
+
+def test_empty_cache_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    code, out, err = run_cli(capsys, "invariants", "T(2,3)", "--cache", "")
     assert code == 2
-    assert "cache" in err
+    assert out == ""
+    assert err.startswith("error: cannot read cache file: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["work"]
+    assert not any((tmp_path / "work").iterdir())
+
+
+def test_cli_imports_no_private_library_name():
+    """``cli`` reaches the library only through its public names.
+
+    Dunder names such as ``__version__`` are public by convention.
+    """
+    tree = ast.parse(Path(gamma4.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("gamma4"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,16 @@ def _commands() -> list[list[str]]:
         ["bound", EXPRESSIONS[1], "--stable", "2", "--genus-cap", "2"],
         # the horizon is checked before any profile is read: exit 2
         ["bound", EXPRESSIONS[1], "--stable", "0", "--genus-cap", "2"],
+        ["verify", "--subset", "example-headline"],
+        ["invariants", ""],
+        # a zero framing: exit 2
+        ["d-invariant", EXPRESSIONS[0], "0"],
+        # the parse error names the link before the horizon is checked: exit 2
+        ["omega", "T(2,4)", "--max-n", "0"],
+        # a complex route over the cap: exit 3
+        ["cfk-dump", EXPRESSIONS[1], "--genus-cap", "2"],
+        # a closed-form route whose dump would need 78125 generators: exit 3
+        ["cfk-dump", "7*T(2,5)"],
     ]
     return commands
 
