@@ -48,12 +48,12 @@ def pack_bit_rows(n: int, entries) -> np.ndarray:
     ----------
     n : int
         Matrix is n x n; bit j of row i set iff entry (i, j) is nonzero.
-    entries : iterable of (i, j)
+    entries : (k, 2) integer array, or a sequence of (i, j) pairs
         Positions of nonzero entries.
     """
     words = max(1, (n + 63) // 64)
     rows = np.zeros((max(1, n), words), dtype=np.uint64)
-    pos = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    pos = np.asarray(entries, dtype=np.int64).reshape(-1, 2)
     i, j = pos[:, 0], pos[:, 1]
     bits = np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
     np.bitwise_or.at(rows, (i, j >> 6), bits)

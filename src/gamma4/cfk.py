@@ -9,6 +9,13 @@ invariants are enforced on every construction:
 * each arrow drops the Maslov grading by one: ``M(tgt) - 2e = M(src) - 1``;
 * each arrow respects the filtration: ``A(tgt) - e <= A(src)``.
 
+A complex is its arrays: read-only int64 gradings per generator, and ends
+and U-exponents per arrow, which every construction computes and both
+homology algorithms read.  No construction needs cancellation mod 2, as
+none can make a duplicate arrow: staircase targets are distinct, reversing
+distinct pairs keeps them distinct, a left or a right Leibniz term of a
+tensor moves only one index, and a level shift keeps every pair.
+
 Staircase complexes model L-space knots; duals model mirrors; tensor
 products model connected sums.  Homology over the polynomial ring is exact
 Smith normal form: because arrows are Maslov-homogeneous, every matrix entry
@@ -29,15 +36,14 @@ Two independent algorithms give the profile ``V_0, V_1, ...``.
 ``vi_sequence`` eliminates each level completely and locates its tower;
 the tensor-complex oracle uses it.  ``vi_by_rank`` asks, one grading at a
 time, whether a cycle of the level survives in the homology of the whole
-complex: three F_2 ranks of the target masks the validation already
-builds, and one query per level after ``V_0``; the routed complex path
-uses it.  They share no elimination, no tower locator and no packed
-pattern.
+complex: three F_2 ranks of the target masks, built on first use, and one
+query per level after ``V_0``; the routed complex path uses it.  They share
+no elimination, no tower locator and no packed pattern.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -56,115 +62,153 @@ class NotSingleTowerError(ValueError):
     """Raised when homology does not have exactly one free summand."""
 
 
-Arrow = tuple[int, int]  # (U-exponent, target generator index)
-
-
 class _Pattern(NamedTuple):
-    """A complex's boundary pattern, built once, on first use: read-only
-    arrays, and the bit rows unpacked into Python-int bitsets."""
+    """A complex's boundary pattern for the Smith normal form, built once,
+    on first use."""
 
     rows: np.ndarray  # uint64 bit rows: bit src of row tgt set per arrow
     bits: tuple[tuple[int, ...], tuple[int, ...]]  # unpack_bit_rows(rows)
-    src: np.ndarray  # one entry per arrow
-    tgt: np.ndarray
-    exponent: np.ndarray
-    maslov: np.ndarray  # one entry per generator
-    alexander: np.ndarray
 
 
-@dataclass(frozen=True)
+#: The array fields of a complex, in constructor order.
+_ARRAYS = ("maslov", "alexander", "src", "tgt", "exponent")
+
+
+def _parity_places(maslov: np.ndarray) -> np.ndarray:
+    """Each generator's place, in index order, among the generators of its
+    Maslov parity."""
+    odd = maslov & 1
+    before = np.add.accumulate(odd) - odd  # odd generators before each one
+    return np.where(odd == 1, before, np.arange(len(maslov)) - before)
+
+
+def _int64_field(values, name: str) -> np.ndarray:
+    """A private int64 copy of a one-dimensional integer sequence or array;
+    ``ValueError`` for float, bool, object and uint64 input."""
+    raw = np.asarray(values)
+    if raw.ndim != 1 or raw.dtype != np.int64 and raw.size and not (
+        raw.dtype.kind in "iu" and np.can_cast(raw.dtype, np.int64)
+    ):
+        raise ValueError(f"{name} must hold integers in one dimension, not {raw.dtype}")
+    return raw.astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class BifilteredComplex:
-    """Immutable bifiltered complex; indices into ``ids`` label generators."""
+    """Immutable bifiltered complex; indices into ``ids`` label generators.
+
+    Read-only int64 arrays hold one grading of each kind per generator and
+    one ``src``, ``tgt`` and ``exponent`` per arrow ``src -> U^exponent tgt``,
+    sorted by ``(src, exponent, tgt)``.  The constructor copies integer
+    sequences or arrays (float, bool and object refused).  Equality and
+    hashing go by ``ids`` and the arrays.
+    """
 
     ids: tuple[str, ...]
-    maslov: tuple[int, ...]
-    alexander: tuple[int, ...]
-    arrows: tuple[tuple[Arrow, ...], ...]  # arrows[src] = ((e, tgt), ...)
+    maslov: np.ndarray
+    alexander: np.ndarray
+    src: np.ndarray
+    tgt: np.ndarray
+    exponent: np.ndarray
 
     def __post_init__(self) -> None:
-        ids, maslov, alexander, arrows = self.ids, self.maslov, self.alexander, self.arrows
+        ids = self.ids
         n = len(ids)
-        if not (len(maslov) == len(alexander) == len(arrows) == n):
+        maslov, alexander, src, tgt, exponent = (
+            _int64_field(getattr(self, name), name) for name in _ARRAYS
+        )
+        m = len(src)
+        if not (len(maslov) == len(alexander) == n and len(tgt) == len(exponent) == m):
             raise ValueError("field lengths disagree")
         if len(set(ids)) != n:
             raise ValueError("generator ids must be unique")
-        targets = [0] * n  # bit t of targets[src] set iff src has an arrow to t
-        for src, terms in enumerate(arrows):
-            seen = set()
-            mask = 0
-            for e, tgt in terms:
-                if e < 0 or not 0 <= tgt < n:
-                    raise ValueError("arrow exponent/target out of range")
-                if (e, tgt) in seen:
-                    raise ValueError("duplicate arrow; canonicalize mod 2 first")
-                seen.add((e, tgt))
-                if maslov[tgt] - 2 * e != maslov[src] - 1:
-                    raise ValueError(f"grading violation on {ids[src]} -> {ids[tgt]}")
-                if alexander[tgt] - e > alexander[src]:
-                    raise ValueError(f"filtration violation on {ids[src]} -> {ids[tgt]}")
-                mask |= 1 << tgt
-            targets[src] = mask
-        # The grading check fixes each arrow's exponent from the Maslov
-        # gradings of its ends, so every path src -> mid -> tgt carries the
-        # same power of U: d^2 vanishes at src iff the paths to each target
-        # cancel in pairs, i.e. iff the XOR of the targets of its targets is 0.
-        for src, terms in enumerate(arrows):
-            square = 0
-            for _, mid in terms:
-                square ^= targets[mid]
-            if square:
-                raise ValueError(f"differential does not square to zero at {ids[src]}")
-        # Kept outside the dataclass fields (so ``==`` and ``hash`` see the
-        # fields alone): in one grading of CF^-, the column of the boundary
-        # map at a generator is its target mask.
-        object.__setattr__(self, "_targets", tuple(targets))
+        order = np.lexsort((tgt, exponent, src))
+        src, tgt, exponent = src[order], tgt[order], exponent[order]
+        if m and not (0 <= src[0] and src[-1] < n):
+            raise ValueError("arrow source out of range")
+        end = np.minimum(np.maximum(tgt, 0), n - 1)  # an index for every arrow
+        repeated = np.zeros(m, dtype=bool)  # the later arrows of equal triples
+        repeated[1:] = (src[1:] == src[:-1]) & (tgt[1:] == tgt[:-1])
+        repeated[1:] &= exponent[1:] == exponent[:-1]
+        checks = (
+            (exponent < 0) | (tgt != end),
+            repeated,
+            maslov[end] - 2 * exponent != maslov[src] - 1,
+            alexander[end] - exponent > alexander[src],
+        )
+        bad = checks[0] | checks[1] | checks[2] | checks[3]
+        if np.count_nonzero(bad):
+            # The first bad arrow of a walk by source, each source's arrows
+            # in their given order, which the stable sort kept in ``order``.
+            hits = bad.nonzero()[0]
+            hits = hits[src[hits] == src[hits[0]]]
+            k = hits[np.argmin(order[hits])]
+            arrow = f"{ids[src[k]]} -> {ids[end[k]]}"
+            messages = (
+                "arrow exponent/target out of range",
+                "duplicate arrow; canonicalize mod 2 first",
+                f"grading violation on {arrow}",
+                f"filtration violation on {arrow}",
+            )
+            raise ValueError(next(text for check, text in zip(checks, messages) if check[k]))
+        # The gradings force each arrow's exponent, so d^2 = 0 iff the paths
+        # src -> mid -> tgt join each (src, tgt) an even number of times.
+        # Sorted, the arrows out of one source are contiguous, from ``start``.
+        out = np.bincount(src, minlength=n)
+        start = np.add.accumulate(out) - out
+        count = out[tgt]  # the pairs that start with each arrow
+        first = np.add.accumulate(count) - count  # where they start among all pairs
+        second = np.arange(np.add.reduce(count)) + (start[tgt] - first).repeat(count)
+        keys = np.sort(src.repeat(count) * n + tgt[second])
+        # Sorted keys pair off iff every count is even; the first unpaired
+        # key is the least of odd count.
+        lone = (keys[: keys.size - 1 : 2] != keys[1::2]).nonzero()[0]
+        if lone.size or keys.size % 2:
+            key = keys[2 * lone[0] if lone.size else -1]
+            raise ValueError(f"differential does not square to zero at {ids[key // n]}")
+        for name, value in zip(_ARRAYS, (maslov, alexander, src, tgt, exponent)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BifilteredComplex):
+            return NotImplemented
+        return self.ids == other.ids and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAYS
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ids, *(getattr(self, name).tobytes() for name in _ARRAYS)))
 
     def __len__(self) -> int:
         return len(self.ids)
 
     @cached_property
     def _pattern(self) -> _Pattern:
-        """The packed boundary pattern, cached outside the dataclass fields
-        (so ``==`` and ``hash`` see the fields alone)."""
-        src, tgt, exponent = [], [], []
-        for s, terms in enumerate(self.arrows):
-            for e, t in terms:
-                src.append(s)
-                tgt.append(t)
-                exponent.append(e)
-        arrays = dict(
-            rows=_kernels.pack_bit_rows(len(self), list(zip(tgt, src))),
-            src=np.array(src, dtype=np.int64),
-            tgt=np.array(tgt, dtype=np.int64),
-            exponent=np.array(exponent, dtype=np.int64),
-            maslov=np.array(self.maslov, dtype=np.int64),
-            alexander=np.array(self.alexander, dtype=np.int64),
-        )
-        for array in arrays.values():
-            array.flags.writeable = False
-        return _Pattern(bits=_kernels.unpack_bit_rows(arrays["rows"]), **arrays)
+        """The packed boundary pattern, cached outside the dataclass fields."""
+        rows = _kernels.pack_bit_rows(len(self), np.stack((self.tgt, self.src), axis=1))
+        rows.setflags(write=False)
+        return _Pattern(rows, _kernels.unpack_bit_rows(rows))
+
+    @cached_property
+    def _targets(self) -> tuple[int, ...]:
+        """Bit ``k`` of ``_targets[x]`` is set iff ``x`` has an arrow to the
+        generator at place ``k`` of ``_parity_places``: in one grading of
+        CF^-, the column of the boundary map at ``x``.  Arrows flip the
+        Maslov parity, so each parity's masks share a half-width bit space."""
+        targets = [0] * len(self)
+        places = _parity_places(self.maslov)[self.tgt]
+        for s, k in zip(self.src.tolist(), places.tolist()):
+            targets[s] |= 1 << k
+        return tuple(targets)
 
     def dump(self) -> str:
         """Stable text form: `id M A` lines, then `src -> U^e tgt` arrow lines."""
-        lines = [
-            f"{gid} {m} {a}"
-            for gid, m, a in zip(self.ids, self.maslov, self.alexander)
-        ]
-        for src, terms in enumerate(self.arrows):
-            for e, tgt in sorted(terms):
-                lines.append(f"{self.ids[src]} -> U^{e} {self.ids[tgt]}")
+        ids, gradings = self.ids, zip(self.maslov.tolist(), self.alexander.tolist())
+        arrows = zip(self.src.tolist(), self.exponent.tolist(), self.tgt.tolist())
+        lines = [f"{gid} {m} {a}" for gid, (m, a) in zip(ids, gradings)]
+        lines += [f"{ids[s]} -> U^{e} {ids[t]}" for s, e, t in arrows]
         return "\n".join(lines)
-
-
-def _canonical_arrows(raw: list[list[Arrow]]) -> tuple[tuple[Arrow, ...], ...]:
-    """Cancel duplicate arrows mod 2 and sort for determinism."""
-    out = []
-    for terms in raw:
-        acc: dict[Arrow, int] = {}
-        for arrow in terms:
-            acc[arrow] = acc.get(arrow, 0) ^ 1
-        out.append(tuple(sorted(a for a, alive in acc.items() if alive)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +233,21 @@ def staircase(exponents) -> BifilteredComplex:
     if any(alpha[i] != -alpha[-1 - i] for i in range(len(alpha))):
         raise MalformedExponentsError("exponents must be symmetric about 0")
     n = len(alpha)
-    maslov = [0] * n
-    for i in range(1, n):
-        if i % 2 == 1:  # even-index generator y_{i+1}: arrow onto predecessor
-            maslov[i] = maslov[i - 1] + 1 - 2 * (alpha[i - 1] - alpha[i])
-        else:
-            maslov[i] = maslov[i - 1] - 1
-    arrows: list[list[Arrow]] = [[] for _ in range(n)]
-    for i in range(1, n, 2):  # generators y_2, y_4, ... at positions 1, 3, ...
-        arrows[i].append((alpha[i - 1] - alpha[i], i - 1))
-        arrows[i].append((0, i + 1))
+    alpha = np.array(alpha, dtype=np.int64)
+    # y_{2k} maps onto y_{2k-1} with U^drop and onto y_{2k+1} with U^0, so
+    # from M(y1) = 0 the gradings step by 1 - 2 drop, then by -1.
+    drop = alpha[:-1:2] - alpha[1::2]
+    step = np.zeros(n, dtype=np.int64)
+    step[1::2] = 1 - 2 * drop
+    step[2::2] = -1
+    middle = np.arange(1, n, 2)
     return BifilteredComplex(
         ids=tuple(f"y{i + 1}" for i in range(n)),
-        maslov=tuple(maslov),
-        alexander=tuple(alpha),
-        arrows=_canonical_arrows(arrows),
+        maslov=np.add.accumulate(step),
+        alexander=alpha,
+        src=np.concatenate((middle, middle)),
+        tgt=np.concatenate((middle - 1, middle + 1)),
+        exponent=np.concatenate((drop, np.zeros_like(drop))),
     )
 
 
@@ -216,14 +260,10 @@ def staircase_exponents(semigroup: FormalSemigroup) -> tuple[int, ...]:
     genuine torus-knot semigroups.
     """
     g = semigroup.genus
-    members = list(semigroup.elements) + [2 * g]
-    coeff: dict[int, int] = {}
-    for s in members:
-        coeff[s] = coeff.get(s, 0) ^ 1
-        if s + 1 != 2 * g + 1:
-            coeff[s + 1] = coeff.get(s + 1, 0) ^ 1
-    support = sorted((d for d, c in coeff.items() if c), reverse=True)
-    return tuple(d - g for d in support)
+    shifted = np.zeros(2 * g + 2, dtype=bool)  # shifted[d + 1]: d <= 2g is a member
+    shifted[semigroup.members + 1] = shifted[2 * g + 1] = True
+    support = (shifted[1:] != shifted[:-1]).nonzero()[0]  # coefficient of t^d is 1
+    return tuple((support[::-1] - g).tolist())
 
 
 def staircase_from_semigroup(semigroup: FormalSemigroup) -> BifilteredComplex:
@@ -236,47 +276,32 @@ def trefoil_staircase() -> BifilteredComplex:
 
 def dual(complex_: BifilteredComplex) -> BifilteredComplex:
     """Mirror model: negate both gradings and reverse all arrows."""
-    n = len(complex_)
-    arrows: list[list[Arrow]] = [[] for _ in range(n)]
-    for src, terms in enumerate(complex_.arrows):
-        for e, tgt in terms:
-            arrows[tgt].append((e, src))
     return BifilteredComplex(
         ids=tuple(f"{gid}*" for gid in complex_.ids),
-        maslov=tuple(-m for m in complex_.maslov),
-        alexander=tuple(-a for a in complex_.alexander),
-        arrows=_canonical_arrows(arrows),
+        maslov=-complex_.maslov,
+        alexander=-complex_.alexander,
+        src=complex_.tgt,
+        tgt=complex_.src,
+        exponent=complex_.exponent,
     )
 
 
 def tensor(left: BifilteredComplex, right: BifilteredComplex) -> BifilteredComplex:
-    """Tensor product over the polynomial ring, with the Leibniz differential."""
+    """Tensor product over the polynomial ring, with the Leibniz differential.
+
+    Generator ``(i, j)`` has index ``i * len(right) + j``; a left arrow moves
+    ``i`` for every ``j``, and a right arrow ``j`` for every ``i``.
+    """
     nl, nr = len(left), len(right)
-
-    def idx(i: int, j: int) -> int:
-        return i * nr + j
-
-    ids = []
-    maslov = []
-    alexander = []
-    arrows: list[list[Arrow]] = []
-    for i in range(nl):
-        for j in range(nr):
-            ids.append(f"{left.ids[i]}*{right.ids[j]}")
-            maslov.append(left.maslov[i] + right.maslov[j])
-            alexander.append(left.alexander[i] + right.alexander[j])
-            # A left arrow moves only i and a right arrow only j, so two
-            # duplicate-free factors give duplicate-free terms: sorting is
-            # all the canonical form needs.
-            terms = [(e, idx(t, j)) for e, t in left.arrows[i]]
-            terms += [(e, idx(i, t)) for e, t in right.arrows[j]]
-            terms.sort()
-            arrows.append(tuple(terms))
+    j = np.arange(nr)
+    i = np.arange(0, nl * nr, nr)[:, None]  # i * nr, one row per left generator
     return BifilteredComplex(
-        ids=tuple(ids),
-        maslov=tuple(maslov),
-        alexander=tuple(alexander),
-        arrows=tuple(arrows),
+        ids=tuple(f"{a}*{b}" for a in left.ids for b in right.ids),
+        maslov=(left.maslov[:, None] + right.maslov).ravel(),
+        alexander=(left.alexander[:, None] + right.alexander).ravel(),
+        src=np.concatenate(((left.src[:, None] * nr + j).ravel(), (i + right.src).ravel())),
+        tgt=np.concatenate(((left.tgt[:, None] * nr + j).ravel(), (i + right.tgt).ravel())),
+        exponent=np.concatenate((left.exponent.repeat(nr), np.tile(right.exponent, nl))),
     )
 
 
@@ -286,17 +311,12 @@ def subcomplex_at_level(complex_: BifilteredComplex, s: int) -> BifilteredComple
     This is the finite model of the large-surgery subcomplex at filtration
     level s; its homology carries the torsion invariant V_s.
     """
-    n = len(complex_)
-    shift = [max(0, a - s) for a in complex_.alexander]
-    arrows: list[list[Arrow]] = [[] for _ in range(n)]
-    for src, terms in enumerate(complex_.arrows):
-        for e, tgt in terms:
-            arrows[src].append((e + shift[src] - shift[tgt], tgt))
-    return BifilteredComplex(
-        ids=complex_.ids,
-        maslov=tuple(m - 2 * k for m, k in zip(complex_.maslov, shift)),
-        alexander=tuple(min(a, s) for a in complex_.alexander),
-        arrows=_canonical_arrows(arrows),
+    shift = np.maximum(complex_.alexander - s, 0)
+    return dataclasses.replace(
+        complex_,
+        maslov=complex_.maslov - 2 * shift,
+        alexander=np.minimum(complex_.alexander, s),
+        exponent=complex_.exponent + shift[complex_.src] - shift[complex_.tgt],
     )
 
 
@@ -324,7 +344,7 @@ class HomologySummary:
         return self.free_rank == 0 and not self.torsion
 
 
-def _tower_grading(maslov, pivot_src_m, torsion) -> int:
+def _tower_grading(grading: np.ndarray, pivot_src_m: np.ndarray, torsion) -> int:
     """Top grading of the single free summand, by graded dimension count.
 
     In each Maslov grading m the chain space has one dimension per generator
@@ -333,34 +353,27 @@ def _tower_grading(maslov, pivot_src_m, torsion) -> int:
     account for finitely many leftover dimensions.  The free summand tops out
     at the largest grading where a dimension survives beyond the torsion.
     """
-    by_parity: dict[int, list[int]] = {0: [], 1: []}
-    for m in maslov:
-        by_parity[m & 1].append(m)
-    piv_by_parity: dict[int, list[int]] = {0: [], 1: []}
-    for m in pivot_src_m:
-        piv_by_parity[m & 1].append(m)
-    tors_top: dict[int, list[int]] = {0: [], 1: []}
-    tors_bot: dict[int, list[int]] = {0: [], 1: []}
-    for d, m in torsion:
-        tors_top[m & 1].append(m)
-        tors_bot[m & 1].append(m - 2 * d)
-    for seq in (*by_parity.values(), *piv_by_parity.values(), *tors_top.values(), *tors_bot.values()):
-        seq.sort()
+    degrees = np.array([d for d, _ in torsion], dtype=np.int64)
+    tops = np.array([m for _, m in torsion], dtype=np.int64)
+    floor = int(grading.min()) - 2 * (int(degrees.max(initial=0)) + 2)
+    span = int(grading.max()) - floor + 2  # gradings floor .. max + 1
 
-    def at_least(sorted_vals: list[int], x: int) -> int:
-        return len(sorted_vals) - bisect_left(sorted_vals, x)
+    def at_least(values: np.ndarray) -> np.ndarray:
+        """Per grading ``floor + i``: the values at or above it of its parity."""
+        counts = np.bincount(values - floor, minlength=span)
+        for parity in (0, 1):
+            counts[parity::2] = counts[parity::2][::-1].cumsum()[::-1]
+        return counts
 
-    top = max(maslov)
-    floor = min(maslov) - 2 * (max((d for d, _ in torsion), default=0) + 2)
-    for mu in range(top, floor - 1, -1):
-        par = mu & 1
-        dim = at_least(by_parity[par], mu)
-        rank_out = at_least(piv_by_parity[par], mu)
-        rank_in = at_least(piv_by_parity[1 - par], mu + 1)
-        alive_torsion = at_least(tors_top[par], mu) - at_least(tors_bot[par], mu)
-        if dim - rank_out - rank_in - alive_torsion >= 1:
-            return mu
-    raise AssertionError("free summand not located; this is a bug")
+    pivots = at_least(pivot_src_m)
+    alive = (
+        at_least(grading) - pivots - np.append(pivots[1:], 0)
+        - at_least(tops) + at_least(tops - 2 * degrees)
+    )
+    found = np.flatnonzero(alive[:-1] >= 1)
+    if not found.size:
+        raise AssertionError("free summand not located; this is a bug")
+    return floor + int(found[-1])
 
 
 def homology_over_polynomial_ring(
@@ -378,29 +391,19 @@ def homology_over_polynomial_ring(
     if n == 0:
         return HomologySummary(free_rank=0, tower_grading=None, torsion=())
     pattern = complex_._pattern
-    grading = pattern.maslov
+    grading = complex_.maslov
     if level is not None:
-        shift = np.maximum(pattern.alexander - level, 0)
-        if (pattern.exponent + shift[pattern.src] < shift[pattern.tgt]).any():
+        shift = np.maximum(complex_.alexander - level, 0)
+        if (complex_.exponent + shift[complex_.src] < shift[complex_.tgt]).any():
             raise ValueError(f"negative arrow exponent at filtration level {level}")
         grading = grading - 2 * shift
     piv_row, piv_col, piv_deg = _kernels.graded_snf(
         pattern.rows, grading, bits=pattern.bits
     )
-    maslov = grading.tolist()
-    rank = len(piv_row)
-    free_rank = n - 2 * rank
-    torsion = tuple(
-        sorted(
-            (int(d), maslov[i])
-            for i, d in zip(piv_row.tolist(), piv_deg.tolist())
-            if d >= 1
-        )
-    )
-    tower = None
-    if free_rank == 1:
-        pivot_src_m = [maslov[j] for j in piv_col.tolist()]
-        tower = _tower_grading(maslov, pivot_src_m, torsion)
+    free_rank = n - 2 * len(piv_row)
+    kept = piv_deg >= 1
+    torsion = tuple(sorted(zip(piv_deg[kept].tolist(), grading[piv_row[kept]].tolist())))
+    tower = _tower_grading(grading, grading[piv_col], torsion) if free_rank == 1 else None
     return HomologySummary(free_rank=free_rank, tower_grading=tower, torsion=torsion)
 
 
@@ -427,7 +430,7 @@ def vi_sequence(complex_: BifilteredComplex) -> tuple[int, ...]:
     first level; the complex's invariants were checked when it was built.
     """
     out = []
-    bound = max(complex_.alexander, default=0) + 1
+    bound = max(complex_.alexander.tolist(), default=0) + 1
     s = 0
     while True:
         v = v_invariant(complex_, s)
@@ -460,19 +463,22 @@ def _rank_test(complex_: BifilteredComplex):
     ``d = 2``, or ``NotSingleTowerError`` is raised.  Gradings 2 and 0 are
     checked at once, and so is the free rank of the homology over
     ``F_2[U]``, which must be 1: it is ``n - 2 rank(d)`` with the rank over
-    ``F_2(U)``, and for a homogeneous boundary that is the F_2 rank of the
-    target masks.  So a second tower below every grading the queries visit
+    ``F_2(U)``, and for a homogeneous boundary that is the sum, over the two
+    Maslov parities, of the F_2 ranks of the target masks of the generators
+    of that parity.  So a second tower below every grading the queries visit
     fails too.
     """
     targets, maslov, alexander = complex_._targets, complex_.maslov, complex_.alexander
-    slices: dict[int, tuple[list[int], list[int], int]] = {}
+    places = _parity_places(maslov)
+    slices: dict[int, tuple[np.ndarray, list[int], int]] = {}
 
-    def grading_slice(d: int) -> tuple[list[int], list[int], int]:
+    def grading_slice(d: int) -> tuple[np.ndarray, list[int], int]:
         if d not in slices:
-            cells = [x for x, m in enumerate(maslov) if m >= d and (m - d) % 2 == 0]
-            incoming = [targets[x] for x, m in enumerate(maslov) if m > d and (m - d) % 2 == 1]
+            above = maslov - d
+            cells = ((above >= 0) & (above % 2 == 0)).nonzero()[0]
+            incoming = [targets[x] for x in ((above > 0) & (above % 2 == 1)).nonzero()[0].tolist()]
             r2 = _kernels.f2_rank(incoming)
-            dim = len(cells) - _kernels.f2_rank(targets[x] for x in cells) - r2
+            dim = len(cells) - _kernels.f2_rank(targets[x] for x in cells.tolist()) - r2
             if dim != (d <= 0):
                 raise NotSingleTowerError(
                     f"homology of CF^- in grading {d} has dimension {dim}, "
@@ -484,19 +490,21 @@ def _rank_test(complex_: BifilteredComplex):
     def at_most(s: int, v: int) -> bool:
         d = -2 * v
         cells, incoming, r2 = grading_slice(d)
-        chosen, outside = [], 0  # S, and the mask of T \ S
-        for x in cells:
-            if maslov[x] - 2 * max(0, alexander[x] - s) >= d:
-                chosen.append(x)
-            else:
-                outside |= 1 << x
+        inside = maslov[cells] - 2 * np.maximum(alexander[cells] - s, 0) >= d
+        chosen = cells[inside].tolist()  # S
+        outside = np.zeros(len(maslov), dtype=bool)  # T \ S, as a bit mask
+        outside[places[cells[~inside]]] = True
+        mask = int.from_bytes(np.packbits(outside, bitorder="little").tobytes(), "little")
         r1 = _kernels.f2_rank(targets[x] for x in chosen)
-        r3 = _kernels.f2_rank(t & outside for t in incoming)
+        r3 = _kernels.f2_rank(t & mask for t in incoming)
         return len(chosen) - r1 > r2 - r3
 
     grading_slice(2)
     grading_slice(0)
-    free_rank = len(targets) - 2 * _kernels.f2_rank(targets)
+    free_rank = len(targets) - 2 * sum(
+        _kernels.f2_rank(targets[x] for x in (maslov % 2 == parity).nonzero()[0].tolist())
+        for parity in (0, 1)
+    )
     if free_rank != 1:
         raise NotSingleTowerError(
             f"homology of CF^- has free rank {free_rank} over F_2[U], expected 1"
@@ -594,14 +602,8 @@ def verify_staircase2n(n: int) -> StaircaseSplitReport:
     for k in range(1, n):
         tag = f"step {k}->{k + 1}"
         left = staircase(range(k, -k - 1, -1))
-        tref = trefoil_staircase()
         # Rename trefoil generators to a, b, c for readable combination ids.
-        tref = BifilteredComplex(
-            ids=("a", "b", "c"),
-            maslov=tref.maslov,
-            alexander=tref.alexander,
-            arrows=tref.arrows,
-        )
+        tref = dataclasses.replace(trefoil_staircase(), ids=("a", "b", "c"))
         full = tensor(left, tref)
         size = len(full)
         pos = {gid: i for i, gid in enumerate(full.ids)}
@@ -648,10 +650,9 @@ def verify_staircase2n(n: int) -> StaircaseSplitReport:
         # Coordinates are U-polynomials encoded as exponent bitmasks.
         def boundary_coords(mask: int) -> list[int]:
             in_gens = [0] * size
-            for g in range(size):
-                if (mask >> g) & 1:
-                    for e, tgt in full.arrows[g]:
-                        in_gens[tgt] ^= 1 << e
+            for src, e, tgt in zip(full.src.tolist(), full.exponent.tolist(), full.tgt.tolist()):
+                if (mask >> src) & 1:
+                    in_gens[tgt] ^= 1 << e
             out = []
             for r in range(len(combos)):
                 acc = 0
@@ -681,7 +682,7 @@ def verify_staircase2n(n: int) -> StaircaseSplitReport:
 
         def block_complex(indices: range) -> BifilteredComplex | None:
             local = list(indices)
-            arrows: list[list[Arrow]] = [[] for _ in local]
+            arrows = []  # (src, tgt, exponent)
             for a, i in enumerate(local):
                 for b, j in enumerate(local):
                     poly = coords[i][j]
@@ -689,12 +690,12 @@ def verify_staircase2n(n: int) -> StaircaseSplitReport:
                         continue
                     if poly & (poly - 1):
                         return None  # not a monomial; cannot happen for graded maps
-                    arrows[a].append((poly.bit_length() - 1, b))
+                    arrows.append((a, b, poly.bit_length() - 1))
             return BifilteredComplex(
-                ids=tuple(combos[i][0] for i in local),
-                maslov=tuple(gradings[i][0] for i in local),
-                alexander=tuple(gradings[i][1] for i in local),
-                arrows=_canonical_arrows(arrows),
+                tuple(combos[i][0] for i in local),
+                [gradings[i][0] for i in local],
+                [gradings[i][1] for i in local],
+                *np.array(arrows, dtype=np.int64).reshape(-1, 3).T,
             )
 
         acyclic_ok = True
@@ -717,11 +718,7 @@ def verify_staircase2n(n: int) -> StaircaseSplitReport:
         if reduced is None:
             record(f"{tag}: reduced subspace matches bigger staircase", False, "non-monomial entry")
             continue
-        same = (
-            reduced.maslov == target.maslov
-            and reduced.alexander == target.alexander
-            and reduced.arrows == target.arrows
-        )
+        same = reduced == dataclasses.replace(target, ids=reduced.ids)
         record(f"{tag}: reduced subspace matches bigger staircase", same)
 
     return StaircaseSplitReport(

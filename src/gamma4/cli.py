@@ -138,6 +138,8 @@ class ProfileCache:
         self.dirty = False
         if path == "":
             raise ValueError("the path is empty")
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValueError(f"the directory of {path} does not exist")
         if path is not None and os.path.exists(path):
             with open(path, encoding="utf-8") as handle:
                 self.data = _checked_cache_data(json.load(handle))

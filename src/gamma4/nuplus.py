@@ -122,7 +122,7 @@ def nu_plus_v(a: FormalSemigroup, b: FormalSemigroup, v: int) -> int:
     return max(0, ga - gb + best)
 
 
-def _nu_profile(a: FormalSemigroup, b: FormalSemigroup) -> np.ndarray:
+def nu_profile(a: FormalSemigroup, b: FormalSemigroup) -> np.ndarray:
     """Vector of ``nu_plus_v(a, b, v)`` for ``v = 0 .. V_0`` (ends at 0).
 
     Only the levels up to the first zero are evaluated.  That index comes
@@ -170,7 +170,7 @@ def _invert_profile(nus: np.ndarray) -> tuple[int, ...]:
 
 def vi_from_nuplus(a: FormalSemigroup, b: FormalSemigroup) -> tuple[int, ...]:
     """Torsion profile of ``A # -B`` by inverting the closed form."""
-    return _invert_profile(_nu_profile(a, b))
+    return _invert_profile(nu_profile(a, b))
 
 
 # ---------------------------------------------------------------------------

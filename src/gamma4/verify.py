@@ -27,8 +27,8 @@ from .cfk import (
 )
 from .expressions import KnotExpression, add, mirror, multiply, parse
 from .nuplus import (
-    _nu_profile,
     hom_wu_nu_plus,
+    nu_profile,
     route,
     t_invariant,
     tensor_fold,
@@ -177,7 +177,7 @@ def check_index_grid() -> list[VerifyCheck]:
     for level in range(1, 26):
         a = FormalSemigroup.from_generators(5, 25 * level + 1)
         b = FormalSemigroup.from_generators(2, 10 * level + 1)
-        profile = _nu_profile(a, b)
+        profile = nu_profile(a, b)
         if profile[13 * level] != 1:
             at_13l.append(f"l={level}: {profile[13 * level]} != 1")
         bad_v = [

@@ -1,5 +1,6 @@
 """Tests for bifiltered complexes: staircases, tensors, homology, splitting."""
 
+import dataclasses
 from math import gcd
 
 import numpy as np
@@ -13,7 +14,6 @@ from gamma4.cfk import (
     HomologySummary,
     MalformedExponentsError,
     NotSingleTowerError,
-    _canonical_arrows,
     _rank_test,
     dual,
     homology_over_polynomial_ring,
@@ -42,15 +42,20 @@ def torus_staircase(p: int, q: int) -> BifilteredComplex:
     return staircase_from_semigroup(FormalSemigroup.from_generators(p, q))
 
 
+def _arrows(c: BifilteredComplex) -> list[tuple[int, int, int]]:
+    """The arrows of ``c`` as ``(src, exponent, tgt)`` triples, in stored order."""
+    return list(zip(c.src.tolist(), c.exponent.tolist(), c.tgt.tolist()))
+
+
 def test_staircase_frozen_gradings():
     tref = trefoil_staircase()
-    assert tref.maslov == (0, -1, -2)
-    assert tref.alexander == (1, 0, -1)
-    assert tref.arrows == ((), ((0, 2), (1, 0)), ())
+    assert tref.maslov.tolist() == [0, -1, -2]
+    assert tref.alexander.tolist() == [1, 0, -1]
+    assert _arrows(tref) == [(1, 0, 2), (1, 1, 0)]
     s35 = staircase([4, 3, 1, 0, -1, -3, -4])
-    assert s35.maslov == (0, -1, -2, -3, -4, -7, -8)
+    assert s35.maslov.tolist() == [0, -1, -2, -3, -4, -7, -8]
     unknot = staircase([0])
-    assert unknot.maslov == (0,) and unknot.arrows == ((),)
+    assert unknot.maslov.tolist() == [0] and _arrows(unknot) == []
 
 
 @pytest.mark.parametrize("bad", [[1, 0], [1, 1, 0, -1, -1], [2, 0, -1], [0, 1, -1]])
@@ -67,18 +72,66 @@ def test_staircase_exponents_match_alexander_support():
 
 def test_complex_validation_rejects_bad_data():
     with pytest.raises(ValueError):
-        BifilteredComplex(("x", "x"), (0, 0), (0, 0), ((), ()))  # duplicate ids
+        BifilteredComplex(("x", "x"), (0, 0), (0, 0), (), (), ())  # duplicate ids
     with pytest.raises(ValueError):
-        BifilteredComplex(("x", "y"), (0, -2), (0, 0), ((((0, 1)),), ()))  # grading
+        BifilteredComplex(("x", "y"), (0, -2), (0, 0), [0], [1], [0])  # grading
     with pytest.raises(ValueError):  # filtration: A(tgt) - e > A(src)
-        BifilteredComplex(("x", "y"), (0, -1), (0, 5), (((0, 1),), ()))
+        BifilteredComplex(("x", "y"), (0, -1), (0, 5), [0], [1], [0])
     with pytest.raises(ValueError):  # differential does not square to zero
         BifilteredComplex(
             ("a", "b", "c"),
             (0, -1, -2),
             (0, 0, 0),
-            ((((0, 1),), ((0, 2),), ())),
+            [0, 1],
+            [1, 2],
+            [0, 0],
         )
+
+
+def test_array_fields_are_read_only():
+    c = tensor(trefoil_staircase(), dual(torus_staircase(2, 5)))
+    for name in ("maslov", "alexander", "src", "tgt", "exponent"):
+        field = getattr(c, name)
+        assert field.dtype == np.int64 and not field.flags.writeable, name
+        with pytest.raises(ValueError):
+            field[0] = 1
+
+
+def test_array_fields_are_private_copies():
+    maslov = np.array([0, -1])
+    c = BifilteredComplex(("x", "y"), maslov, (0, 0), [0], [1], [0])
+    maslov[1] = -3
+    assert c.maslov.tolist() == [0, -1] and maslov.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["maslov", "alexander", "src", "tgt", "exponent"])
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([0.0]), np.array([True]), np.array([0], dtype=object), np.array([0], np.uint64)],
+)
+def test_constructor_refuses_non_integer_arrays(name, bad):
+    fields = dict(maslov=[0, -1], alexander=[0, 0], src=[0], tgt=[1], exponent=[0])
+    fields[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must hold integers"):
+        BifilteredComplex(("x", "y"), **fields)
+
+
+def test_equality_and_hash_go_by_ids_and_arrays():
+    def build():
+        return tensor(torus_staircase(2, 3), dual(torus_staircase(3, 4)))
+
+    c = build()
+    assert c == build() and hash(c) == hash(build())
+    assert c != dataclasses.replace(c, ids=tuple(f"{gid}'" for gid in c.ids))
+    # One exponent changed, built past validation: the gradings no longer
+    # fit, but equality must see the change.
+    other = object.__new__(BifilteredComplex)
+    for name in ("ids", "maslov", "alexander", "src", "tgt", "exponent"):
+        object.__setattr__(other, name, getattr(c, name))
+    exponent = c.exponent.copy()
+    exponent[0] += 1
+    object.__setattr__(other, "exponent", exponent)
+    assert c != other
 
 
 def test_dump_golden_trefoil():
@@ -92,9 +145,9 @@ def test_dump_golden_trefoil():
 
 
 def test_homology_examples():
-    one = BifilteredComplex(("x",), (0,), (0,), ((),))
+    one = BifilteredComplex(("x",), (0,), (0,), (), (), ())
     assert homology_over_polynomial_ring(one) == HomologySummary(1, 0, ())
-    pair = BifilteredComplex(("x", "y"), (0, -1), (0, 0), (((0, 1),), ()))
+    pair = BifilteredComplex(("x", "y"), (0, -1), (0, 0), [0], [1], [0])
     assert homology_over_polynomial_ring(pair) == HomologySummary(0, None, ())
     assert homology_over_polynomial_ring(pair).is_zero
     # Trefoil at filtration level 0: tower drops to grading -2.
@@ -109,7 +162,7 @@ def test_v_invariant_values():
     assert v_invariant(staircase([4, 3, 1, 0, -1, -3, -4]), 0) == 2
     with pytest.raises(NotSingleTowerError):
         v_invariant(
-            BifilteredComplex(("x", "y"), (0, 0), (0, 0), ((), ())), 0
+            BifilteredComplex(("x", "y"), (0, 0), (0, 0), (), (), ()), 0
         )
 
 
@@ -126,18 +179,18 @@ def test_tensor_basics():
     assert vi_sequence(tensor(tref, tref)) == vi_lspace(2, 5) == (1, 1, 0)
     unit = staircase([0])
     prod = tensor(tref, unit)
-    assert prod.maslov == tref.maslov
-    assert prod.alexander == tref.alexander
-    assert prod.arrows == tref.arrows
+    assert prod.maslov.tolist() == tref.maslov.tolist()
+    assert prod.alexander.tolist() == tref.alexander.tolist()
+    assert _arrows(prod) == _arrows(tref)
 
 
 def test_dual_involution():
     for p, q in [(2, 3), (3, 5)]:
         c = torus_staircase(p, q)
         dd = dual(dual(c))
-        assert dd.maslov == c.maslov
-        assert dd.alexander == c.alexander
-        assert dd.arrows == c.arrows
+        assert dd.maslov.tolist() == c.maslov.tolist()
+        assert dd.alexander.tolist() == c.alexander.tolist()
+        assert _arrows(dd) == _arrows(c)
 
 
 @given(coprime_pairs)
@@ -192,10 +245,10 @@ def test_tensor_power_matches_representative_large():
 def test_subcomplex_gradings():
     tref = trefoil_staircase()
     sub = subcomplex_at_level(tref, 0)
-    assert sub.maslov == (-2, -1, -2)
-    assert sub.alexander == (0, 0, -1)
+    assert sub.maslov.tolist() == [-2, -1, -2]
+    assert sub.alexander.tolist() == [0, 0, -1]
     # Level at or above the genus changes nothing.
-    assert subcomplex_at_level(tref, 1).maslov == tref.maslov
+    assert subcomplex_at_level(tref, 1).maslov.tolist() == tref.maslov.tolist()
 
 
 def test_verify_staircase2n():
@@ -209,7 +262,7 @@ def test_verify_staircase2n():
 
 
 def _bit_rows(c: BifilteredComplex) -> np.ndarray:
-    entries = [(t, src) for src, terms in enumerate(c.arrows) for _, t in terms]
+    entries = [(t, src) for src, _, t in _arrows(c)]
     return _kernels.pack_bit_rows(len(c), entries)
 
 
@@ -250,7 +303,7 @@ def test_backends_agree_on_homology_structure():
     identical (pivot_row, pivot_col, pivot_degree) triples at every level,
     whether it unpacks the bit rows itself or is given the bitsets that
     ``unpack_bit_rows`` made once for the whole complex."""
-    samples = [*_sample_complexes(), BifilteredComplex(("x",), (0,), (0,), ((),))]
+    samples = [*_sample_complexes(), BifilteredComplex(("x",), (0,), (0,), (), (), ())]
     assert max(len(c) for c in samples) == 405
     for c in samples:
         bits = _kernels.unpack_bit_rows(_bit_rows(c))
@@ -348,14 +401,14 @@ def test_vi_by_rank_matches_vi_sequence_on_criterion_6_complex():
 
 def test_rank_test_refuses_two_towers():
     with pytest.raises(NotSingleTowerError, match="grading 0 has dimension 2"):
-        vi_by_rank(BifilteredComplex(("x", "y"), (0, 0), (0, 0), ((), ())))
+        vi_by_rank(BifilteredComplex(("x", "y"), (0, 0), (0, 0), (), (), ()))
 
 
 @pytest.mark.parametrize("low", [-2, -4])
 def test_rank_test_refuses_a_second_tower_below_the_queries(low):
     """Gradings 0 and 2 alone look like one tower topped at 0, and
     ``V_0 = 0`` ends the queries there; the free rank sees the second."""
-    c = BifilteredComplex(("x", "y"), (0, low), (0, 0), ((), ()))
+    c = BifilteredComplex(("x", "y"), (0, low), (0, 0), (), (), ())
     with pytest.raises(NotSingleTowerError):
         vi_sequence(c)
     with pytest.raises(NotSingleTowerError, match="free rank 2"):
@@ -367,9 +420,11 @@ def _direct_sum(c: BifilteredComplex, d: BifilteredComplex, shift: int) -> Bifil
     n = len(c)
     return BifilteredComplex(
         tuple(f"c{i}" for i in c.ids) + tuple(f"d{i}" for i in d.ids),
-        c.maslov + tuple(m + shift for m in d.maslov),
-        c.alexander + d.alexander,
-        c.arrows + tuple(tuple((e, t + n) for e, t in terms) for terms in d.arrows),
+        np.concatenate((c.maslov, d.maslov + shift)),
+        np.concatenate((c.alexander, d.alexander)),
+        np.concatenate((c.src, d.src + n)),
+        np.concatenate((c.tgt, d.tgt + n)),
+        np.concatenate((c.exponent, d.exponent)),
     )
 
 
@@ -381,7 +436,12 @@ def test_free_rank_is_size_minus_twice_pattern_rank(shift):
     for c in samples:
         for x in (c, _direct_sum(c, samples[1], shift)):
             free = homology_over_polynomial_ring(x).free_rank
-            assert len(x) - 2 * _kernels.f2_rank(x._targets) == free
+            parities = x.maslov.tolist()
+            rank = sum(
+                _kernels.f2_rank(t for t, m in zip(x._targets, parities) if m % 2 == parity)
+                for parity in (0, 1)
+            )
+            assert len(x) - 2 * rank == free
         with pytest.raises(NotSingleTowerError, match="free rank 2"):
             vi_by_rank(_direct_sum(c, samples[1], shift))
 
@@ -391,9 +451,7 @@ def test_rank_test_refuses_a_tower_off_grading_0(shift):
     """A tower topped anywhere but grading 0 fails hard; it never shifts
     the profile."""
     c = torus_staircase(3, 5)
-    moved = BifilteredComplex(
-        c.ids, tuple(m + shift for m in c.maslov), c.alexander, c.arrows
-    )
+    moved = dataclasses.replace(c, maslov=c.maslov + shift)
     assert vi_by_rank(c) == (2, 1, 1, 1, 0)
     with pytest.raises(NotSingleTowerError):
         vi_by_rank(moved)
@@ -407,26 +465,25 @@ def test_f2_rank():
 
 
 def _canonical_tensor_arrows(left: BifilteredComplex, right: BifilteredComplex):
-    """The Leibniz terms of ``left`` (x) ``right`` through ``_canonical_arrows``."""
-    nr = len(right)
-    return _canonical_arrows(
-        [
-            [(e, t * nr + j) for e, t in left.arrows[i]]
-            + [(e, i * nr + t) for e, t in right.arrows[j]]
-            for i in range(len(left))
-            for j in range(nr)
-        ]
-    )
+    """The Leibniz terms of ``left`` (x) ``right``, cancelled mod 2 and
+    sorted by ``(src, exponent, tgt)``."""
+    nl, nr = len(left), len(right)
+    alive: dict[tuple[int, int, int], int] = {}
+    terms = [(s * nr + j, e, t * nr + j) for s, e, t in _arrows(left) for j in range(nr)]
+    terms += [(i * nr + s, e, i * nr + t) for s, e, t in _arrows(right) for i in range(nl)]
+    for term in terms:
+        alive[term] = alive.get(term, 0) ^ 1
+    return sorted(term for term, odd in alive.items() if odd)
 
 
 def _assert_tensor_is_canonical(c: BifilteredComplex) -> None:
     for piece in (trefoil_staircase(), dual(torus_staircase(2, 5))):
         for left, right in ((c, piece), (piece, c)):
-            assert tensor(left, right).arrows == _canonical_tensor_arrows(left, right)
+            assert _arrows(tensor(left, right)) == _canonical_tensor_arrows(left, right)
 
 
 def test_tensor_arrows_are_canonical():
-    """Sorting the Leibniz terms gives the canonical arrows: no two terms of
+    """The tensor's arrows are its Leibniz terms, sorted: no two terms of
     one generator coincide, so there is nothing to cancel mod 2."""
     for c in _sample_complexes():
         _assert_tensor_is_canonical(c)
@@ -491,9 +548,11 @@ def test_level_homology_rejects_negative_shifted_exponent():
     bad = object.__new__(BifilteredComplex)
     for name, value in (
         ("ids", ("x", "y")),
-        ("maslov", (0, -1)),
-        ("alexander", (0, 5)),
-        ("arrows", (((0, 1),), ())),
+        ("maslov", np.array([0, -1])),
+        ("alexander", np.array([0, 5])),
+        ("src", np.array([0])),
+        ("tgt", np.array([1])),
+        ("exponent", np.array([0])),
     ):
         object.__setattr__(bad, name, value)
     with pytest.raises(ValueError, match="negative arrow exponent"):
@@ -534,8 +593,10 @@ def maybe_corrupted_fields(draw):
     """Fields of a small tensor of staircases and duals, with at most one
     arrow dropped, retargeted or added."""
     c = _small_tensors(draw)
-    arrows = [list(terms) for terms in c.arrows]
     n = len(c)
+    arrows = [[] for _ in range(n)]
+    for s, e, t in _arrows(c):
+        arrows[s].append((e, t))
     kind = draw(st.sampled_from(["none", "drop", "retarget", "add"]))
     src = draw(st.integers(0, n - 1))
     if kind in ("drop", "retarget") and arrows[src]:
@@ -545,11 +606,40 @@ def maybe_corrupted_fields(draw):
             arrows[src].insert(k, (e, draw(st.integers(0, n - 1))))
     elif kind == "add":
         tgt = draw(st.integers(0, n - 1))
-        twice_e = c.maslov[tgt] - c.maslov[src] + 1
+        twice_e = int(c.maslov[tgt] - c.maslov[src]) + 1
         graded = twice_e >= 0 and twice_e % 2 == 0 and draw(st.booleans())
         e = twice_e // 2 if graded else draw(st.integers(0, 3))
         arrows[src].insert(draw(st.integers(0, len(arrows[src]))), (e, tgt))
-    return c.ids, c.maslov, c.alexander, tuple(tuple(terms) for terms in arrows)
+    return c.ids, c.maslov.tolist(), c.alexander.tolist(), tuple(tuple(terms) for terms in arrows)
+
+
+@st.composite
+def several_faults_fields(draw):
+    """Fields as above with one to four more faults at once: arrows out of
+    range, with a negative exponent or repeated, and arrows reordered."""
+    ids, maslov, alexander, arrows = draw(maybe_corrupted_fields())
+    n = len(ids)
+    arrows = [list(terms) for terms in arrows]
+    for _ in range(draw(st.integers(1, 4))):
+        terms = arrows[draw(st.integers(0, n - 1))]
+        kind = draw(st.sampled_from(["range", "negative", "repeat", "reorder"]))
+        at = draw(st.integers(0, len(terms)))
+        if kind == "range":
+            terms.insert(at, (0, draw(st.sampled_from([-1, n, n + 3]))))
+        elif kind == "negative":
+            terms.insert(at, (-1, draw(st.integers(0, n - 1))))
+        elif kind == "repeat" and terms:
+            terms.insert(at, draw(st.sampled_from(terms)))
+        elif kind == "reorder":
+            terms[:] = draw(st.permutations(terms))
+    return ids, maslov, alexander, tuple(tuple(terms) for terms in arrows)
+
+
+def _array_fields(ids, maslov, alexander, arrows):
+    """The constructor's fields for arrows given as ``arrows[src] = ((e, tgt), ...)``."""
+    flat = [(src, e, tgt) for src, terms in enumerate(arrows) for e, tgt in terms]
+    src, exponent, tgt = ([arrow[k] for arrow in flat] for k in range(3))
+    return ids, maslov, alexander, src, tgt, exponent
 
 
 def _validation_error(check, fields) -> str | None:
@@ -560,10 +650,13 @@ def _validation_error(check, fields) -> str | None:
     return None
 
 
-@given(maybe_corrupted_fields())
-@settings(max_examples=200, deadline=None)
+@given(st.one_of(maybe_corrupted_fields(), several_faults_fields()))
+@settings(max_examples=400, deadline=None)
 def test_validation_matches_dict_reference(fields):
-    """The bitset ``d^2 = 0`` test raises the same error as the dict one,
-    exactly when the dict one does."""
+    """The vectorised validation raises the same error as the dict one,
+    exactly when the dict one does; with several faults, that is the error
+    of the arrow a walk by source, each source's arrows as given, meets
+    first."""
     expected = _validation_error(_dict_reference_check, fields)
-    assert _validation_error(BifilteredComplex, fields) == expected
+    built = _validation_error(lambda *f: BifilteredComplex(*_array_fields(*f)), fields)
+    assert built == expected

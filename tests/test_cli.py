@@ -389,20 +389,46 @@ def test_empty_cache_path_is_refused_before_any_work(tmp_path, capsys, monkeypat
     assert not any((tmp_path / "work").iterdir())
 
 
-def test_cli_imports_no_private_library_name():
-    """``cli`` reaches the library only through its public names.
+def test_cache_in_a_missing_directory_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    """The cache path's directory is checked where the file is read, so no
+    profile is computed, and the error names the path, not a temp file."""
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a profile was computed")
+
+    for module in (gamma4.cli, gamma4.bounds, gamma4.surgery, gamma4.nuplus):
+        monkeypatch.setattr(module, "vi_expr", refuse)
+    code, out, err = run_cli(
+        capsys, "invariants", "T(2,3) + T(3,4) - T(2,5)", "--cache", "nodir/x.json"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read cache file: ")
+    assert "nodir/x.json" in err and ".tmp" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_modules_import_no_private_library_name():
+    """Each module of the package reaches the others only through their
+    public names; importing a module, such as ``_kernels``, is allowed.
 
     Dunder names such as ``__version__`` are public by convention.
     """
-    tree = ast.parse(Path(gamma4.cli.__file__).read_text(encoding="utf-8"))
-    private = [
-        (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and (node.level > 0 or (node.module or "").startswith("gamma4"))
-        for alias in node.names
-        if alias.name.startswith("_") and not alias.name.endswith("__")
-    ]
+    private = []
+    for path in sorted(Path(gamma4.cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private += [
+            (path.name, node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("gamma4"))
+            and node.module  # ``from . import _kernels`` imports a module
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")
+        ]
     assert private == []
 
 

@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 import gamma4.cfk
 import gamma4.nuplus
 from gamma4 import _kernels
-from gamma4.cfk import staircase_exponents, tensor, vi_sequence
+from gamma4.cfk import staircase_exponents, tensor, vi_by_rank, vi_sequence
 from gamma4.expressions import KnotExpression, mirror, parse
 from gamma4.nuplus import (
     UnsupportedExpressionError,
     _infimal_fold,
-    _nu_profile,
     _tensor_generator_count,
     hom_wu_nu_plus,
     nu_plus_v,
+    nu_profile,
     route,
     t_from_profile,
     t_invariant,
@@ -227,6 +227,31 @@ def test_complex_route_runs_no_elimination(monkeypatch):
         vi_tensor_oracle(MIXED)
 
 
+def test_oracle_builds_no_target_masks(monkeypatch):
+    """The oracle reads its profile off graded Smith normal form: no rank
+    test, no F_2 rank, no target masks."""
+    expected = vi_expr(MIXED)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran the routed algorithm")
+
+    monkeypatch.setattr(_kernels, "f2_rank", refuse)
+    monkeypatch.setattr(gamma4.cfk, "_rank_test", refuse)
+    monkeypatch.setattr(gamma4.cfk.BifilteredComplex, "_targets", property(refuse))
+    assert vi_tensor_oracle(MIXED) == expected == (1, 1, 0)
+    with pytest.raises(AssertionError, match="routed algorithm"):
+        vi_expr(MIXED)
+
+
+@pytest.mark.slow
+def test_routed_profile_of_a_42875_generator_complex():
+    """``3*T(3,5) - 3*T(2,5)`` builds, checks and rank-tests a complex far
+    beyond the sizes the property tests draw."""
+    c = tensor_complex(parse("3*T(3,5) - 3*T(2,5)"))
+    assert (len(c), c.src.size) == (42875, 213150)
+    assert vi_by_rank(c) == (2, 2, 2, 1, 1, 1, 0)
+
+
 def test_oracle_eliminates_every_level(monkeypatch):
     """The oracle runs graded Smith normal form and level homology once per
     profile entry."""
@@ -324,7 +349,7 @@ def test_degenerate_closed_form_matches_torsion_formula(ab):
 @given(semigroups, semigroups)
 @settings(max_examples=30, deadline=None)
 def test_profile_shape(a, b):
-    nus = _nu_profile(a, b)
+    nus = nu_profile(a, b)
     assert nus[-1] == 0
     assert all(x >= y for x, y in zip(nus, nus[1:]))  # non-increasing
     assert all(x > 0 for x in nus[:-1])  # ends exactly at the first zero
@@ -514,7 +539,7 @@ def test_max_gap_profile_rejects_non_increasing_gam_a():
 @settings(max_examples=80, deadline=None)
 def test_nu_profile_matches_full_grid(a, b):
     for top, bottom in ((a, b), (b, a)):
-        assert _nu_profile(top, bottom).tolist() == nu_profile_full_grid(top, bottom).tolist()
+        assert nu_profile(top, bottom).tolist() == nu_profile_full_grid(top, bottom).tolist()
 
 
 @pytest.mark.parametrize(
@@ -525,4 +550,4 @@ def test_nu_profile_matches_full_grid_on_large_pairs(pos, neg):
     a = FormalSemigroup.from_generators(*pos)
     b = FormalSemigroup.from_generators(*neg) if neg else UNKNOT_SEMIGROUP
     for top, bottom in ((a, b), (b, a)):
-        assert _nu_profile(top, bottom).tolist() == nu_profile_full_grid(top, bottom).tolist()
+        assert nu_profile(top, bottom).tolist() == nu_profile_full_grid(top, bottom).tolist()
