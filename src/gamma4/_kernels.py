@@ -10,7 +10,9 @@ inside, and run in int32 whenever every input value lies in ``[0, 2**31)``
 (exact there, see its docstring), in int64 otherwise; its short profiles
 run as an int64 gather.
 
-This module owns the bitset format: ``pack_bit_rows`` packs a pattern into
+This module owns two formats.  Every integer array or sequence that enters
+a complex, a semigroup, a staircase or the profile grid passes one gate,
+``int64_array``.  The bitset format: ``pack_bit_rows`` packs a pattern into
 uint64 bit rows, and ``unpack_bit_rows`` turns those into the Python-int
 row and column bitsets that ``graded_snf`` eliminates on.  A caller that
 runs one pattern under many gradings unpacks it once and passes the pair
@@ -39,6 +41,28 @@ import numpy as np
 
 #: Which kernel implementation runs; benchmark reports record it.
 BACKEND = "numpy"
+
+
+def int64_array(values, name: str) -> np.ndarray:
+    """``values`` as a one-dimensional int64 array, an int64 array as it is.
+
+    Other integer input is cast, which is exact; empty input of any dtype is
+    the empty int64 array.  ``ValueError`` for float, bool, object and uint64
+    input, for any other number of dimensions, and for a bool inside a
+    sequence, which NumPy would read as an integer.
+    """
+    raw = np.asarray(values)
+    # int64 first: it is what every caller passes, and ``can_cast`` costs
+    # several times the rest of the check.
+    if raw.dtype != np.int64:
+        if raw.size and not (raw.dtype.kind in "iu" and np.can_cast(raw.dtype, np.int64)):
+            raise ValueError(f"{name} must hold integers, not {raw.dtype}")
+        raw = raw.astype(np.int64)
+    if raw.ndim != 1:
+        raise ValueError(f"{name} must hold integers in one dimension, not {raw.ndim}")
+    if not isinstance(values, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, values)):
+        raise ValueError(f"{name} must hold integers, not bools")
+    return raw
 
 
 def pack_bit_rows(n: int, entries) -> np.ndarray:
@@ -317,19 +341,6 @@ GRID_BLOCK_CELLS = 1 << 16
 ROW_BLOCK_MIN_LEVELS = 1 << 10
 
 
-def _int64_array(values, name: str) -> np.ndarray:
-    """``values`` as a contiguous int64 array; ``ValueError`` unless its
-    dtype is an integer one that casts to int64 without loss."""
-    raw = np.asarray(values)
-    # int64 first: it is what every caller passes, and ``can_cast`` costs
-    # several times the rest of the check.
-    if raw.dtype != np.int64 and not (
-        raw.dtype.kind in "iu" and np.can_cast(raw.dtype, np.int64)
-    ):
-        raise ValueError(f"{name} must hold integers, not {raw.dtype}")
-    return np.ascontiguousarray(raw, dtype=np.int64)
-
-
 def max_gap_profile(gam_a: np.ndarray, gam_b: np.ndarray, v_count: int) -> np.ndarray:
     """out[v] = max over k of gam_b[k] - gam_a[k + v], for v in [0, v_count).
 
@@ -354,12 +365,11 @@ def max_gap_profile(gam_a: np.ndarray, gam_b: np.ndarray, v_count: int) -> np.nd
     so int32 is exact.  The gather path always runs in int64, and the
     result is always int64.
 
-    Both arrays must have an integer dtype that casts safely to int64;
-    float, bool, object and uint64 arrays raise ``ValueError`` instead of
-    being truncated or wrapped.
+    Both arrays pass ``int64_array``, so float, bool, object and uint64
+    input raises ``ValueError`` instead of being truncated or wrapped.
     """
-    gam_a = _int64_array(gam_a, "gam_a")
-    gam_b = _int64_array(gam_b, "gam_b")
+    gam_a = int64_array(gam_a, "gam_a")
+    gam_b = int64_array(gam_b, "gam_b")
     if v_count <= 0:
         return np.zeros(0, dtype=np.int64)
     if gam_a.shape[0] < gam_b.shape[0] + v_count - 1:

@@ -82,17 +82,6 @@ def _parity_places(maslov: np.ndarray) -> np.ndarray:
     return np.where(odd == 1, before, np.arange(len(maslov)) - before)
 
 
-def _int64_field(values, name: str) -> np.ndarray:
-    """A private int64 copy of a one-dimensional integer sequence or array;
-    ``ValueError`` for float, bool, object and uint64 input."""
-    raw = np.asarray(values)
-    if raw.ndim != 1 or raw.dtype != np.int64 and raw.size and not (
-        raw.dtype.kind in "iu" and np.can_cast(raw.dtype, np.int64)
-    ):
-        raise ValueError(f"{name} must hold integers in one dimension, not {raw.dtype}")
-    return raw.astype(np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class BifilteredComplex:
     """Immutable bifiltered complex; indices into ``ids`` label generators.
@@ -100,8 +89,8 @@ class BifilteredComplex:
     Read-only int64 arrays hold one grading of each kind per generator and
     one ``src``, ``tgt`` and ``exponent`` per arrow ``src -> U^exponent tgt``,
     sorted by ``(src, exponent, tgt)``.  The constructor copies integer
-    sequences or arrays (float, bool and object refused).  Equality and
-    hashing go by ``ids`` and the arrays.
+    sequences or arrays, passed through ``_kernels.int64_array``.  Equality
+    and hashing go by ``ids`` and the arrays.
     """
 
     ids: tuple[str, ...]
@@ -115,8 +104,10 @@ class BifilteredComplex:
         ids = self.ids
         n = len(ids)
         maslov, alexander, src, tgt, exponent = (
-            _int64_field(getattr(self, name), name) for name in _ARRAYS
+            _kernels.int64_array(getattr(self, name), name) for name in _ARRAYS
         )
+        # The arrows are copied by the sort below, the gradings here.
+        maslov, alexander = maslov.copy(), alexander.copy()
         m = len(src)
         if not (len(maslov) == len(alexander) == n and len(tgt) == len(exponent) == m):
             raise ValueError("field lengths disagree")
@@ -223,17 +214,23 @@ def staircase(exponents) -> BifilteredComplex:
     exponents; even-index generators map to both neighbors, with U-powers
     equal to the drop in Alexander level on the leftward arrow; odd-index
     generators are cycles.  Maslov gradings follow from M(y1) = 0 and the
-    grading rule.
+    grading rule.  The exponents pass ``_kernels.int64_array``: float, bool,
+    object and uint64 input raises ``MalformedExponentsError``, never a
+    truncated staircase.
     """
-    alpha = [int(x) for x in exponents]
-    if len(alpha) % 2 != 1:
-        raise MalformedExponentsError("exponent list must have odd length")
-    if any(a <= b for a, b in zip(alpha, alpha[1:])):
-        raise MalformedExponentsError("exponents must be strictly decreasing")
-    if any(alpha[i] != -alpha[-1 - i] for i in range(len(alpha))):
-        raise MalformedExponentsError("exponents must be symmetric about 0")
+    try:
+        alpha = _kernels.int64_array(exponents, "exponents")
+    except ValueError as error:
+        raise MalformedExponentsError(str(error)) from None
     n = len(alpha)
-    alpha = np.array(alpha, dtype=np.int64)
+    if n % 2 != 1:
+        raise MalformedExponentsError("exponent list must have odd length")
+    if np.count_nonzero(alpha[1:] >= alpha[:-1]):
+        raise MalformedExponentsError("exponents must be strictly decreasing")
+    # The middle is tested first: once it is 0, each mirrored pair of the
+    # decreasing list has one sign each side, so no pair sum overflows int64.
+    if alpha[n // 2] or np.count_nonzero(alpha + alpha[::-1]):
+        raise MalformedExponentsError("exponents must be symmetric about 0")
     # y_{2k} maps onto y_{2k-1} with U^drop and onto y_{2k+1} with U^0, so
     # from M(y1) = 0 the gradings step by 1 - 2 drop, then by -1.
     drop = alpha[:-1:2] - alpha[1::2]

@@ -75,6 +75,7 @@ from .nuplus import (
     tensor_complex,
     vi_expr,
 )
+from .semigroups import is_torsion_profile
 from .surgery import d_from_profile
 from .torus import alexander, signature_expr
 from .verify import SUBSETS
@@ -93,32 +94,14 @@ class _Output:
 
 
 def _checked_cache_data(data) -> dict[str, list[int]]:
-    """The loaded cache store, or ValueError unless every entry is a profile.
-
-    A torsion profile is a list of ints that never rises, drops by at most
-    one per step (Rasmussen: ``V_s - 1 <= V_{s+1} <= V_s``) and ends at its
-    only zero.
-    """
+    """The loaded cache store, or ValueError unless every entry is a list
+    that ``is_torsion_profile`` accepts."""
     if not isinstance(data, dict):
         raise ValueError("top level is not a JSON object")
     for key, value in data.items():
-        if not _is_profile(value):
+        if not isinstance(value, list) or not is_torsion_profile(value):
             raise ValueError(f"entry {key!r} is not a torsion profile")
     return data
-
-
-def _is_profile(value) -> bool:
-    """Whether ``value`` is a torsion profile, checked in one pass over it."""
-    if not isinstance(value, list) or not value:
-        return False
-    previous = None
-    for current in value:
-        if type(current) is not int:
-            return False
-        if previous is not None and (previous <= 0 or previous - current not in (0, 1)):
-            return False
-        previous = current
-    return previous == 0
 
 
 class ProfileCache:

@@ -27,6 +27,8 @@ from math import gcd
 
 import numpy as np
 
+from . import _kernels
+
 
 class NotCoprimeError(ValueError):
     """Raised when semigroup generators share a common factor."""
@@ -44,28 +46,19 @@ class FormalSemigroup:
     array of the members smaller than the conductor ``2 * genus``; every
     integer from the conductor on is a member.  The symmetry invariant makes
     the member and gap counts below the conductor equal, so
-    ``genus == len(members)``.  The constructor takes any one-dimensional
-    sequence or array of integers (bools refused) and keeps a private copy,
-    so a caller's array can change later without changing the semigroup.
-    Equality and hashing go by the members.
+    ``genus == len(members)``.  The constructor keeps a private copy of what
+    ``_kernels.int64_array`` makes of its input (``MalformedSequenceError``
+    for float, bool, object and uint64 input).  Equality and hashing go by
+    the members.
     """
 
     members: np.ndarray
 
     def __post_init__(self) -> None:
-        values = self.members
-        raw = np.asarray(values)
-        if raw.ndim != 1:
-            raise MalformedSequenceError("members must form a one-dimensional array")
-        if not isinstance(values, np.ndarray) and any(
-            isinstance(x, (bool, np.bool_)) for x in values
-        ):
-            raise MalformedSequenceError("members must be integers, not bools")
-        if raw.size and raw.dtype.kind not in "iu":
-            raise MalformedSequenceError(
-                f"members must be integers, not {raw.dtype}"
-            )
-        members = raw.astype(np.int64)
+        try:
+            members = _kernels.int64_array(self.members, "members").copy()
+        except ValueError as error:
+            raise MalformedSequenceError(str(error)) from None
         members.flags.writeable = False
         g = members.size
         if g and (
@@ -101,30 +94,24 @@ class FormalSemigroup:
         if gcd(a, b) != 1:
             raise NotCoprimeError(f"generators {a} and {b} share a factor")
         genus = (a - 1) * (b - 1) // 2
-        from . import _kernels
-
         return cls(np.flatnonzero(_kernels.sieve_members(a, b, 2 * genus)))
 
     @classmethod
     def from_vi(cls, values) -> "FormalSemigroup":
         """Rebuild a formal semigroup from its torsion sequence ``V_0, V_1, ...``.
 
-        The sequence must be non-increasing with steps of at most 1, with
-        non-negative entries ending at 0; the genus is the index of the first
-        zero.  Positions at or above the genus are gaps exactly where the
-        sequence strictly drops, and the symmetry pins down everything below.
+        With extra trailing zeros cut, the sequence must pass
+        ``is_torsion_profile`` (``MalformedSequenceError`` otherwise, for
+        floats and bools too); the genus is its last index.  Positions at or
+        above the genus are gaps exactly where the sequence strictly drops,
+        and the symmetry pins down everything below.
         """
-        vs = [int(v) for v in values]
-        if not vs or vs[-1] != 0:
-            raise MalformedSequenceError("torsion sequence must be nonempty and end at 0")
-        if vs[0] < 0:
-            raise MalformedSequenceError("torsion values must be non-negative")
-        for cur, nxt in zip(vs, vs[1:]):
-            if cur - nxt not in (0, 1):
-                raise MalformedSequenceError(
-                    "torsion sequence must be non-increasing with unit steps"
-                )
-        genus = vs.index(0)
+        vs = list(values)
+        while len(vs) > 1 and all(_is_integer(v) and v == 0 for v in vs[-2:]):
+            vs.pop()  # an extra trailing zero
+        if not is_torsion_profile(vs):
+            raise MalformedSequenceError("the sequence is not a torsion profile")
+        genus = len(vs) - 1
         upper_gap = [vs[j] > vs[j + 1] for j in range(genus)]
         elements = [s for s in range(genus) if upper_gap[genus - 1 - s]]
         elements += [genus + j for j in range(genus) if not upper_gap[j]]
@@ -152,9 +139,7 @@ class FormalSemigroup:
         return tuple(np.flatnonzero(is_gap).tolist())
 
     def __contains__(self, x: object) -> bool:
-        if not isinstance(x, int):
-            return False
-        if x < 0:
+        if not _is_integer(x) or x < 0:
             return False
         if x >= self.conductor:
             return True
@@ -227,6 +212,27 @@ class FormalSemigroup:
 
 
 UNKNOT_SEMIGROUP = FormalSemigroup(())
+
+
+def _is_integer(x: object) -> bool:
+    """Whether ``x`` is a Python or NumPy integer; a bool is not."""
+    return type(x) is int or isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_torsion_profile(values) -> bool:
+    """Whether ``values`` holds integers, bools not counted, that never rise,
+    drop by at most one per step (Rasmussen: ``V_s - 1 <= V_{s+1} <= V_s``)
+    and end at their only zero; one pass over them."""
+    previous = None
+    for current in values:
+        if type(current) is not int and not _is_integer(current):
+            return False
+        if previous is not None and (
+            previous <= 0 or current != previous and current != previous - 1
+        ):
+            return False
+        previous = current
+    return bool(previous == 0)
 
 
 def enumerating_bruteforce(a: int, b: int, k: int) -> int:

@@ -58,7 +58,19 @@ def test_staircase_frozen_gradings():
     assert unknot.maslov.tolist() == [0] and _arrows(unknot) == []
 
 
-@pytest.mark.parametrize("bad", [[1, 0], [1, 1, 0, -1, -1], [2, 0, -1], [0, 1, -1]])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [1, 0],
+        [1, 1, 0, -1, -1],
+        [2, 0, -1],
+        [0, 1, -1],
+        (1.9, 0, -1.9),  # floats are refused, not truncated
+        (True, False, -1),
+        np.array([1.0, 0.0, -1.0]),
+        (-(2**63),),  # its negation wraps to itself in int64
+    ],
+)
 def test_staircase_malformed(bad):
     with pytest.raises(MalformedExponentsError):
         staircase(bad)
@@ -107,7 +119,13 @@ def test_array_fields_are_private_copies():
 @pytest.mark.parametrize("name", ["maslov", "alexander", "src", "tgt", "exponent"])
 @pytest.mark.parametrize(
     "bad",
-    [np.array([0.0]), np.array([True]), np.array([0], dtype=object), np.array([0], np.uint64)],
+    [
+        np.array([0.0]),
+        np.array([True]),
+        np.array([0], dtype=object),
+        np.array([0], np.uint64),
+        [0, True],  # NumPy would read the bool as 1
+    ],
 )
 def test_constructor_refuses_non_integer_arrays(name, bad):
     fields = dict(maslov=[0, -1], alexander=[0, 0], src=[0], tgt=[1], exponent=[0])

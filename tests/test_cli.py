@@ -23,6 +23,7 @@ from gamma4.bounds import omega_upper
 from gamma4.cli import main
 from gamma4.expressions import multiply, parse
 from gamma4.nuplus import route, t_invariant, vi_expr
+from gamma4.semigroups import FormalSemigroup, MalformedSequenceError
 from gamma4.surgery import d_invariant, d_invariant_negative
 
 
@@ -413,21 +414,45 @@ def test_cache_in_a_missing_directory_is_refused_before_any_work(
 
 def test_modules_import_no_private_library_name():
     """Each module of the package reaches the others only through their
-    public names; importing a module, such as ``_kernels``, is allowed.
+    public names; importing a module, such as ``_kernels``, is allowed, but
+    reading a private attribute of it, such as ``_kernels._helper``, is not.
 
     Dunder names such as ``__version__`` are public by convention.
     """
+
+    def is_private(name):
+        return name.startswith("_") and not name.endswith("__")
+
     private = []
     for path in sorted(Path(gamma4.cli.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        private += [
-            (path.name, node.module, alias.name)
+        imports = [
+            node
             for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom)
             and (node.level > 0 or (node.module or "").startswith("gamma4"))
-            and node.module  # ``from . import _kernels`` imports a module
+        ]
+        # ``from . import _kernels`` binds a module; other imports bind names.
+        modules = {
+            alias.asname or alias.name
+            for node in imports
+            if not node.module
             for alias in node.names
-            if alias.name.startswith("_") and not alias.name.endswith("__")
+        }
+        private += [
+            (path.name, node.module, alias.name)
+            for node in imports
+            if node.module
+            for alias in node.names
+            if is_private(alias.name)
+        ]
+        private += [
+            (path.name, node.value.id, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and is_private(node.attr)
         ]
     assert private == []
 
@@ -522,16 +547,15 @@ def _is_profile_reference(value) -> bool:
     )
 
 
-_profile_like = st.one_of(
+_profile_lists = st.one_of(
     st.lists(st.integers(-2, 4), max_size=6),
     st.lists(st.one_of(st.integers(-1, 3), st.booleans(), st.just(1.0)), max_size=4),
     # descending staircases, so that accepted profiles are drawn often
     st.lists(st.integers(0, 1), max_size=6).map(
         lambda steps: [sum(steps[i:]) for i in range(len(steps))] + [0]
     ),
-    st.integers(),
-    st.none(),
 )
+_profile_like = st.one_of(_profile_lists, st.integers(), st.none())
 
 
 @settings(max_examples=300, deadline=None)
@@ -544,6 +568,25 @@ def test_cache_entry_check_matches_reference(value):
         with pytest.raises(ValueError) as excinfo:
             gamma4.cli._checked_cache_data(data)
         assert str(excinfo.value) == "entry 'K|vi' is not a torsion profile"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_profile_lists, st.integers(0, 3))
+def test_from_vi_takes_the_cache_profile_rule(value, zeros):
+    """``from_vi`` accepts a list exactly when it is a profile the cache
+    accepts followed by integer zeros, and rebuilds that profile."""
+    padded = value + [0] * zeros
+    profiles = [
+        padded[:end]
+        for end in range(len(padded) + 1)
+        if all(type(v) is int and v == 0 for v in padded[end:])
+        and _is_profile_reference(padded[:end])
+    ]
+    if profiles:
+        assert FormalSemigroup.from_vi(padded).vi == tuple(profiles[0])
+    else:
+        with pytest.raises(MalformedSequenceError):
+            FormalSemigroup.from_vi(padded)
 
 
 def test_cache_file_is_canonical_json(tmp_path, capsys):

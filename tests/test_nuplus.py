@@ -503,10 +503,13 @@ def test_max_gap_profile_rows_across_int32():
         np.array([False, True, True, True]),
         np.array([0, 2, 3, 2**70], dtype=object),
         np.array([0, 2, 3, 5], dtype=np.uint64),
+        [0, True, 3, 5],
+        np.array([[0, 2], [3, 5]]),
     ],
 )
 def test_max_gap_profile_refuses_non_integer_input(bad):
-    """Floats would be truncated and uint64 wrapped by a cast to int64."""
+    """A cast to int64 would truncate floats, wrap uint64 and read a bool
+    in a list as 1; a 2-D array is not a member list."""
     good = np.array([0, 2, 3, 5], dtype=np.int64)
     with pytest.raises(ValueError, match="gam_a must hold integers"):
         _kernels.max_gap_profile(bad, good[:2], 2)

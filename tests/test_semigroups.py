@@ -74,7 +74,20 @@ def test_from_vi_examples():
     assert FormalSemigroup.from_vi([1, 0, 0, 0]).gaps == (1,)
 
 
-@pytest.mark.parametrize("bad", [[], [2, 0], [0, 1, 0], [1, 2, 1, 0], [1], [-1, 0]])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [],
+        [2, 0],
+        [0, 1, 0],
+        [1, 2, 1, 0],
+        [1],
+        [-1, 0],
+        [1.5, 0],  # floats are refused, not truncated
+        [2.7, 1.2, 0],
+        [True, False],
+    ],
+)
 def test_from_vi_malformed(bad):
     with pytest.raises(MalformedSequenceError):
         FormalSemigroup.from_vi(bad)
@@ -84,6 +97,8 @@ def test_membership_and_counting():
     s = FormalSemigroup.from_generators(3, 5)
     assert 0 in s and 3 in s and 8 in s and 100 in s
     assert 1 not in s and 7 not in s and -3 not in s
+    assert np.int64(3) in s and np.int64(7) not in s
+    assert True not in s and 3.0 not in s
     assert s.count_below(8) == 4
     assert s.count_below(0) == 0
     assert s.count_below(20) == 16
@@ -204,6 +219,7 @@ def test_queries_return_python_ints():
         np.array([0.0, 3.0, 5.0, 6.0]),  # float array
         (0, True),  # bool
         np.array([True, False]),  # bool array
+        np.array([0, 1], np.uint64),  # uint64 array
     ],
 )
 def test_malformed_members_refused(bad):
