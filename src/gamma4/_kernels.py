@@ -33,9 +33,21 @@ deactivation time, a multiplication by a non-negative power of U, hence a
 valid change of basis; the final diagonal then gives the module structure of
 kernel and cokernel directly (invariant-factor ordering is irrelevant for
 the direct-sum decomposition).
+
+The same degrees bound the pivot searches.  Every entry degree is
+non-negative (``cfk.homology_over_polynomial_ring`` checks the shifted
+exponents of each level), so an entry (i, j) has ``grading[i] >=
+grading[j] - 1``, and a row XOR keeps that: the pivot row has the least
+grading in its column, so it is no greater than the grading of any row it
+is added to.  ``graded_snf`` therefore scans the grading classes of a
+column upward from ``grading[j] - 1``, and those of a row downward from
+``grading[i] + 1``; the classes it skips hold no entry, so its pivots are
+those of a scan over every class.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -193,13 +205,17 @@ def _first_extreme(bits: int, classes) -> int:
     """Lowest index set in ``bits`` within the first of ``classes`` it meets.
 
     ``classes`` holds one index mask per grading value, in order of
-    preference, so this is the first index of extreme grading in ``bits``.
+    preference, from the first class that may hold an entry, so this is the
+    first index of extreme grading in ``bits``.
     """
     for mask in classes:
         hit = bits & mask
         if hit:
             return (hit & -hit).bit_length() - 1
-    raise AssertionError("empty bit set; this is a bug")
+    raise AssertionError(
+        "no entry in the grade window: the pattern is not homogeneous with "
+        "non-negative entry degrees"
+    )
 
 
 def graded_snf(
@@ -221,6 +237,13 @@ def graded_snf(
     ``_graded_snf_numpy`` (first index of minimal row grading, first index
     of maximal column grading, same fixpoint, same row XOR), so both return
     identical triples.
+
+    Requires every entry (i, j) to have a non-negative degree
+    ``(grading[i] - grading[j] + 1) / 2``.  The search for the least row
+    grading in column j then starts at class ``grading[j] - 1``, and the
+    search for the greatest column grading in row i at class
+    ``grading[i] + 1``: no entry lies outside these windows, before or
+    after any row XOR, so the pivots are those of a full scan.
     """
     n = len(grading)
     empty = np.zeros(0, dtype=np.int64)
@@ -232,8 +255,14 @@ def graded_snf(
     by_grade: dict[int, int] = {}
     for k, value in enumerate(grade):
         by_grade[value] = by_grade.get(value, 0) | (1 << k)
-    ascending = [by_grade[value] for value in sorted(by_grade)]
-    descending = ascending[::-1]
+    values = sorted(by_grade)
+    ascending = [by_grade[value] for value in values]
+    # The grade windows: column j holds rows of grading >= grade[j] - 1
+    # only, row i columns of grading <= grade[i] + 1 only.
+    rows_from = {g: ascending[bisect_left(values, g - 1) :] for g in values}
+    cols_from = {g: ascending[: bisect_right(values, g + 1)][::-1] for g in values}
+    row_window = [rows_from[g] for g in grade]
+    col_window = [cols_from[g] for g in grade]
 
     row_active = col_active = (1 << n) - 1
     piv_i: list[int] = []
@@ -247,14 +276,14 @@ def graded_snf(
             # The fixpoint of the reference, minus its repeated scans: i_cur
             # is always the pick of column j_cur when the row is scanned,
             # and j_cur the pick of row i_cur when the column is scanned.
-            i_cur = _first_extreme(holders, ascending)
+            i_cur = _first_extreme(holders, row_window[j_start])
             j_cur = j_start
             while True:
-                j_best = _first_extreme(row_bits[i_cur] & col_active, descending)
+                j_best = _first_extreme(row_bits[i_cur] & col_active, col_window[i_cur])
                 if grade[j_best] <= grade[j_cur]:
                     break
                 j_cur = j_best
-                i_best = _first_extreme(col_bits[j_cur] & row_active, ascending)
+                i_best = _first_extreme(col_bits[j_cur] & row_active, row_window[j_cur])
                 if grade[i_best] >= grade[i_cur]:
                     break
                 i_cur = i_best

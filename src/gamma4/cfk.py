@@ -216,7 +216,7 @@ def staircase(exponents) -> BifilteredComplex:
     generators are cycles.  Maslov gradings follow from M(y1) = 0 and the
     grading rule.  The exponents pass ``_kernels.int64_array``: float, bool,
     object and uint64 input raises ``MalformedExponentsError``, never a
-    truncated staircase.
+    truncated staircase, and so do exponents whose gradings leave int64.
     """
     try:
         alpha = _kernels.int64_array(exponents, "exponents")
@@ -232,7 +232,11 @@ def staircase(exponents) -> BifilteredComplex:
     if alpha[n // 2] or np.count_nonzero(alpha + alpha[::-1]):
         raise MalformedExponentsError("exponents must be symmetric about 0")
     # y_{2k} maps onto y_{2k-1} with U^drop and onto y_{2k+1} with U^0, so
-    # from M(y1) = 0 the gradings step by 1 - 2 drop, then by -1.
+    # from M(y1) = 0 the gradings step by 1 - 2 drop, then by -1.  By
+    # symmetry the drops sum to alpha[0], so the gradings fall to
+    # -2 alpha[0]; past 2**62 that would wrap in int64.
+    if alpha[0] > 2**62:
+        raise MalformedExponentsError("exponents too large: Maslov gradings leave int64")
     drop = alpha[:-1:2] - alpha[1::2]
     step = np.zeros(n, dtype=np.int64)
     step[1::2] = 1 - 2 * drop

@@ -56,6 +56,9 @@ def test_staircase_frozen_gradings():
     assert s35.maslov.tolist() == [0, -1, -2, -3, -4, -7, -8]
     unknot = staircase([0])
     assert unknot.maslov.tolist() == [0] and _arrows(unknot) == []
+    # The largest total drop whose gradings stay in int64
+    floor = staircase((2**62, 0, -(2**62)))
+    assert floor.maslov.tolist() == [0, 1 - 2**63, -(2**63)]
 
 
 @pytest.mark.parametrize(
@@ -69,6 +72,9 @@ def test_staircase_frozen_gradings():
         (True, False, -1),
         np.array([1.0, 0.0, -1.0]),
         (-(2**63),),  # its negation wraps to itself in int64
+        # Maslov gradings below -2**63, which int64 would wrap
+        (2**62 + 5, 0, -(2**62 + 5)),
+        (2**63 - 1, 0, -(2**63 - 1)),
     ],
 )
 def test_staircase_malformed(bad):
@@ -340,6 +346,35 @@ def test_backends_agree_on_homology_structure():
         _kernels._graded_snf_numpy(_kernels.pack_bit_rows(0, []), empty),
     ):
         assert [x.tolist() for x in res] == [[], [], []]
+
+
+@st.composite
+def _homogeneous_patterns(draw):
+    """Gradings over many classes and a pattern whose every entry (i, j) has
+    ``grade[i] - grade[j]`` odd and at least -1: a homogeneous boundary of
+    degree -1 with non-negative entry degrees, not necessarily ``d^2 = 0``."""
+    grade = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=40))
+    n = len(grade)
+    allowed = [
+        (i, j) for i in range(n) for j in range(n)
+        if (grade[i] - grade[j]) % 2 and grade[i] - grade[j] >= -1
+    ]
+    entries = draw(st.lists(st.sampled_from(allowed), max_size=4 * n)) if allowed else []
+    return np.array(grade, dtype=np.int64), _kernels.pack_bit_rows(n, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_homogeneous_patterns())
+def test_backends_agree_on_homogeneous_patterns(pattern):
+    """The grade windows of ``graded_snf`` skip only classes that cannot hold
+    an entry: its triples equal the NumPy reference's, with and without
+    ``bits``, on patterns beyond the sample complexes."""
+    grading, rows = pattern
+    fast = _kernels.graded_snf(rows, grading)
+    shared = _kernels.graded_snf(rows, grading, bits=_kernels.unpack_bit_rows(rows))
+    ref = _kernels._graded_snf_numpy(rows.copy(), grading.copy())
+    for got, again, want in zip(fast, shared, ref):
+        assert got.tolist() == again.tolist() == want.tolist()
 
 
 def _assert_level_homology_matches_subcomplex(c: BifilteredComplex) -> None:
