@@ -15,14 +15,10 @@ from .bounds import (
     ObstructionOutcome,
     OddEulerNumberError,
     OmegaEstimate,
-    batson_bound,
     euler_obstruction,
     genus_obstruction,
-    main_bound,
-    nu_plus_bound,
     omega_upper,
     report,
-    stable_bound,
     thin_bounds,
     upsilon_bound,
     upsilon_expr,
@@ -32,13 +28,11 @@ from .cfk import (
     BifilteredComplex,
     MalformedExponentsError,
     NotSingleTowerError,
-    StaircaseSplitReport,
     dual,
     staircase,
     staircase_from_semigroup,
     tensor,
     v_invariant,
-    verify_staircase2n,
     vi_sequence,
 )
 from .expressions import (
@@ -87,7 +81,6 @@ __all__ = [
     "OddEulerNumberError",
     "OmegaEstimate",
     "SpincLabel",
-    "StaircaseSplitReport",
     "TorusKnot",
     "UnsupportedExpressionError",
     "VRoute",
@@ -95,17 +88,14 @@ __all__ = [
     "VerifyReport",
     "__version__",
     "alexander",
-    "batson_bound",
     "d_invariant",
     "d_invariant_negative",
     "dual",
     "euler_obstruction",
     "genus_obstruction",
     "hom_wu_nu_plus",
-    "main_bound",
     "mirror",
     "multiply",
-    "nu_plus_bound",
     "nu_plus_v",
     "omega_upper",
     "parse",
@@ -115,7 +105,6 @@ __all__ = [
     "run_verification",
     "signature",
     "signature_expr",
-    "stable_bound",
     "staircase",
     "staircase_from_semigroup",
     "t_invariant",
@@ -126,7 +115,6 @@ __all__ = [
     "upsilon_expr",
     "upsilon_torus",
     "v_invariant",
-    "verify_staircase2n",
     "vi_expr",
     "vi_lspace",
     "vi_sequence",

@@ -90,21 +90,6 @@ def _table(sigma: int, back_profile: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def main_bound(expr: KnotExpression) -> int:
-    """Best per-index bound, ``sigma/2 - t``: ``report(expr).main``."""
-    return report(expr).main
-
-
-def batson_bound(expr: KnotExpression) -> int:
-    """The ``m = 0`` specialization, ``sigma/2 - 2 V_0(mirror)``."""
-    return report(expr).batson
-
-
-def nu_plus_bound(expr: KnotExpression) -> int:
-    """The bound through the first vanishing index of the mirror profile."""
-    return report(expr).nu_plus_bound
-
-
 def upsilon_torus(p: int, q: int) -> int:
     """Value of the upsilon invariant at its midpoint for a positive T(p, q).
 
@@ -121,7 +106,10 @@ def upsilon_expr(expr: KnotExpression) -> int:
 
 
 def upsilon_bound(expr: KnotExpression) -> int:
-    """``|sigma/2 - upsilon|``, valid in both orientations at once."""
+    """``|sigma/2 - upsilon|``, valid in both orientations at once.
+
+    Needs no torsion profile; ``report(expr).upsilon_bound`` is the same value.
+    """
     return abs(signature_expr(expr) // 2 - upsilon_expr(expr))
 
 
@@ -172,8 +160,7 @@ def report(
     at the default genus cap; the CLI passes its cache).  The mirror profile
     of ``expr`` is computed once and serves both the per-index table and the
     ``n = 1`` row of the stable bound.  This is the one derivation of every
-    bound: ``main_bound``, ``batson_bound``, ``nu_plus_bound`` and
-    ``stable_bound`` each return one field of it.
+    bound that reads a profile; callers read its fields.
     """
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -322,12 +309,3 @@ def omega_upper(expr: KnotExpression, horizon: int) -> OmegaEstimate:
     horizon below 1 raises ``ValueError``.
     """
     return omega_table(expr, horizon)[1]
-
-
-def stable_bound(expr: KnotExpression, horizon: int) -> Fraction:
-    """``sigma/2 - omega_upper``: a lower bound for the stable genus.
-
-    Rounding up gives a bound for the plain non-orientable genus, occasionally
-    beating ``main_bound``.  This is ``report(expr, horizon).stable``.
-    """
-    return report(expr, horizon).stable

@@ -39,6 +39,9 @@ time, whether a cycle of the level survives in the homology of the whole
 complex: three F_2 ranks of the target masks, built on first use, and one
 query per level after ``V_0``; the routed complex path uses it.  They share
 no elimination, no tower locator and no packed pattern.
+
+This module holds complexes and their homology only.  The checks run on
+them, such as the splitting of trefoil tensor powers, are in ``verify``.
 """
 
 from __future__ import annotations
@@ -534,194 +537,3 @@ def vi_by_rank(complex_: BifilteredComplex) -> tuple[int, ...]:
         out.append(v)
     return tuple(out)
 
-
-# ---------------------------------------------------------------------------
-# Mechanical verification of the staircase splitting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StaircaseSplitReport:
-    """Outcome of verify_staircase2n: per-check results across all steps."""
-
-    n: int
-    passed: bool
-    checks: tuple[tuple[str, bool, str], ...]
-
-    def failures(self) -> tuple[tuple[str, bool, str], ...]:
-        return tuple(c for c in self.checks if not c[1])
-
-
-def _f2_inverse(columns: list[int], size: int) -> list[int] | None:
-    """Inverse of an F_2 matrix given as column bitmasks; None if singular.
-
-    Returns the inverse as row bitmasks: row r of the inverse has bit c set
-    iff (T^{-1})[r][c] = 1.
-    """
-    # Work on rows of T: row r bitmask over columns c.
-    rows = [0] * size
-    for c, col in enumerate(columns):
-        for r in range(size):
-            if (col >> r) & 1:
-                rows[r] |= 1 << c
-    aug = [rows[r] | (1 << (size + r)) for r in range(size)]
-    for col in range(size):
-        pivot = next(
-            (r for r in range(col, size) if (aug[r] >> col) & 1),
-            None,
-        )
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(size):
-            if r != col and (aug[r] >> col) & 1:
-                aug[r] ^= aug[col]
-    return [row >> size for row in aug]
-
-
-def verify_staircase2n(n: int) -> StaircaseSplitReport:
-    """Check the inductive splitting of tensor powers of the trefoil staircase.
-
-    For each step k < n, tensors the (2k+1)-generator two-strand staircase
-    with the trefoil staircase and verifies, by explicit linear algebra over
-    the polynomial ring:
-
-    * the declared (2k+3)-dimensional subspace and the k rank-4 blocks are
-      each closed under the differential;
-    * together they form a basis (direct-sum decomposition);
-    * every rank-4 block is acyclic;
-    * the distinguished subspace is isomorphic, gradings and differential
-      included, to the two-strand staircase with 2k+3 generators.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    checks: list[tuple[str, bool, str]] = []
-
-    def record(name: str, ok: bool, detail: str = "") -> None:
-        checks.append((name, ok, detail))
-
-    for k in range(1, n):
-        tag = f"step {k}->{k + 1}"
-        left = staircase(range(k, -k - 1, -1))
-        # Rename trefoil generators to a, b, c for readable combination ids.
-        tref = dataclasses.replace(trefoil_staircase(), ids=("a", "b", "c"))
-        full = tensor(left, tref)
-        size = len(full)
-        pos = {gid: i for i, gid in enumerate(full.ids)}
-
-        def gen(i: int, letter: str) -> int:
-            return pos[f"y{i}*{letter}"]
-
-        combos: list[tuple[str, int]] = []  # (label, F2 bitmask over generators)
-        combos.append(("v1", 1 << gen(1, "a")))
-        combos.append(("v2", 1 << gen(1, "b")))
-        for i in range(1, 2 * k + 2):
-            combos.append((f"v{i + 2}", 1 << gen(i, "c")))
-        block_slices: list[range] = []
-        for i in range(1, k + 1):
-            start = len(combos)
-            combos.append((f"w{i}.1", 1 << gen(2 * i, "b")))
-            combos.append((f"w{i}.2", (1 << gen(2 * i - 1, "b")) | (1 << gen(2 * i, "a"))))
-            combos.append((f"w{i}.3", (1 << gen(2 * i + 1, "b")) | (1 << gen(2 * i, "c"))))
-            combos.append((f"w{i}.4", (1 << gen(2 * i - 1, "c")) | (1 << gen(2 * i + 1, "a"))))
-            block_slices.append(range(start, start + 4))
-        v_slice = range(0, 2 * k + 3)
-
-        ok_count = len(combos) == size
-        record(f"{tag}: vector count", ok_count, f"{len(combos)} of {size}")
-        inverse = _f2_inverse([mask for _, mask in combos], size)
-        record(f"{tag}: direct sum (basis change invertible)", inverse is not None)
-        if inverse is None or not ok_count:
-            continue
-
-        # Homogeneous gradings of each combination.
-        def combo_gradings(mask: int) -> tuple[int, int] | None:
-            ms = {full.maslov[g] for g in range(size) if (mask >> g) & 1}
-            al = {full.alexander[g] for g in range(size) if (mask >> g) & 1}
-            if len(ms) != 1 or len(al) != 1:
-                return None
-            return ms.pop(), al.pop()
-
-        gradings = [combo_gradings(mask) for _, mask in combos]
-        record(f"{tag}: combinations homogeneous", all(g is not None for g in gradings))
-        if any(g is None for g in gradings):
-            continue
-
-        # Differential of each combination, in combination coordinates.
-        # Coordinates are U-polynomials encoded as exponent bitmasks.
-        def boundary_coords(mask: int) -> list[int]:
-            in_gens = [0] * size
-            for src, e, tgt in zip(full.src.tolist(), full.exponent.tolist(), full.tgt.tolist()):
-                if (mask >> src) & 1:
-                    in_gens[tgt] ^= 1 << e
-            out = []
-            for r in range(len(combos)):
-                acc = 0
-                sel = inverse[r]
-                for g in range(size):
-                    if (sel >> g) & 1:
-                        acc ^= in_gens[g]
-                out.append(acc)
-            return out
-
-        coords = [boundary_coords(mask) for _, mask in combos]
-
-        def closed(indices: range) -> bool:
-            inside = set(indices)
-            return all(
-                coords[i][j] == 0
-                for i in indices
-                for j in range(len(combos))
-                if j not in inside
-            )
-
-        record(f"{tag}: distinguished subspace closed", closed(v_slice))
-        record(
-            f"{tag}: rank-4 blocks closed",
-            all(closed(block) for block in block_slices),
-        )
-
-        def block_complex(indices: range) -> BifilteredComplex | None:
-            local = list(indices)
-            arrows = []  # (src, tgt, exponent)
-            for a, i in enumerate(local):
-                for b, j in enumerate(local):
-                    poly = coords[i][j]
-                    if poly == 0:
-                        continue
-                    if poly & (poly - 1):
-                        return None  # not a monomial; cannot happen for graded maps
-                    arrows.append((a, b, poly.bit_length() - 1))
-            return BifilteredComplex(
-                tuple(combos[i][0] for i in local),
-                [gradings[i][0] for i in local],
-                [gradings[i][1] for i in local],
-                *np.array(arrows, dtype=np.int64).reshape(-1, 3).T,
-            )
-
-        acyclic_ok = True
-        detail = ""
-        for block in block_slices:
-            built = block_complex(block)
-            if built is None:
-                acyclic_ok = False
-                detail = "non-monomial entry"
-                break
-            summary = homology_over_polynomial_ring(built)
-            if not summary.is_zero:
-                acyclic_ok = False
-                detail = f"homology {summary}"
-                break
-        record(f"{tag}: rank-4 blocks acyclic", acyclic_ok, detail)
-
-        reduced = block_complex(v_slice)
-        target = staircase(range(k + 1, -k - 2, -1))
-        if reduced is None:
-            record(f"{tag}: reduced subspace matches bigger staircase", False, "non-monomial entry")
-            continue
-        same = reduced == dataclasses.replace(target, ids=reduced.ids)
-        record(f"{tag}: reduced subspace matches bigger staircase", same)
-
-    return StaircaseSplitReport(
-        n=n, passed=all(ok for _, ok, _ in checks), checks=tuple(checks)
-    )

@@ -9,14 +9,10 @@ from gamma4.bounds import (
     ObstructionOutcome,
     OddEulerNumberError,
     OmegaEstimate,
-    batson_bound,
     euler_obstruction,
     genus_obstruction,
-    main_bound,
-    nu_plus_bound,
     omega_upper,
     report,
-    stable_bound,
     thin_bounds,
     upsilon_bound,
     upsilon_expr,
@@ -24,6 +20,7 @@ from gamma4.bounds import (
 )
 from gamma4.expressions import mirror, multiply, parse
 from gamma4.nuplus import hom_wu_nu_plus, t_invariant, vi_expr
+from gamma4.verify import SAMPLE_FAMILY
 
 HEADLINE = parse("T(2,3) - T(5,6)")
 
@@ -42,9 +39,9 @@ SAMPLES = [
 
 
 def test_main_bound_values():
-    assert main_bound(parse("T(3,-5)")) == 1
-    assert main_bound(HEADLINE) == 1
-    assert main_bound(parse("")) == 0
+    assert report(parse("T(3,-5)")).main == 1
+    assert report(HEADLINE).main == 1
+    assert report(parse("")).main == 0
 
 
 def test_main_bound_table_peaks_away_from_zero():
@@ -56,15 +53,15 @@ def test_main_bound_table_peaks_away_from_zero():
 
 
 def test_batson_bound_values():
-    assert batson_bound(parse("T(3,-5)")) == 0
-    assert batson_bound(parse("T(3,-4)")) == 1
-    assert batson_bound(parse("")) == 0
+    assert report(parse("T(3,-5)")).batson == 0
+    assert report(parse("T(3,-4)")).batson == 1
+    assert report(parse("")).batson == 0
 
 
 def test_nu_plus_bound_values():
-    assert nu_plus_bound(parse("T(3,-5)")) == 0
-    assert nu_plus_bound(parse("T(2,-3)")) == 0
-    assert nu_plus_bound(parse("")) == 0
+    assert report(parse("T(3,-5)")).nu_plus_bound == 0
+    assert report(parse("T(2,-3)")).nu_plus_bound == 0
+    assert report(parse("")).nu_plus_bound == 0
 
 
 def test_upsilon_values():
@@ -77,6 +74,12 @@ def test_upsilon_values():
     assert upsilon_bound(parse("")) == 0
 
 
+def test_upsilon_bound_matches_report_on_sample_family():
+    # the formula |sigma/2 - upsilon| is written twice: here and in the report
+    for expr in SAMPLE_FAMILY:
+        assert upsilon_bound(expr) == report(expr).upsilon_bound, expr
+
+
 def test_upsilon_equals_negated_t_of_mirror():
     # for a single positive torus knot, upsilon = -t(mirror)
     for p, q in [(2, 3), (2, 7), (3, 4), (3, 5), (5, 6), (4, 7)]:
@@ -87,9 +90,9 @@ def test_upsilon_equals_negated_t_of_mirror():
 def test_table_specializations_on_samples():
     for expr in SAMPLES:
         rep = report(expr)
-        assert rep.table[0] == batson_bound(expr)
+        assert rep.table[0] == rep.batson
         first_zero = hom_wu_nu_plus(mirror(expr))
-        assert rep.table[first_zero] == nu_plus_bound(expr)
+        assert rep.table[first_zero] == rep.nu_plus_bound
         assert rep.main == max(rep.table)
         assert rep.main >= rep.batson
         assert rep.main >= rep.nu_plus_bound
@@ -155,7 +158,7 @@ def test_genus_obstruction_monotone_in_h():
 
 def test_smallest_feasible_h_matches_main_bound():
     for expr in SAMPLES:
-        target = max(main_bound(expr), 0)
+        target = max(report(expr).main, 0)
         smallest = next(
             h
             for h in range(0, 8)
@@ -223,12 +226,12 @@ def test_omega_witness_t_value():
 
 
 def test_stable_bound_values():
-    assert stable_bound(HEADLINE, 50) == Fraction(41, 23)
-    assert stable_bound(parse(""), 5) == 0
+    assert report(HEADLINE, 50).stable == Fraction(41, 23)
+    assert report(parse(""), 5).stable == 0
 
 
 def test_stable_bound_non_decreasing_in_horizon():
-    values = [stable_bound(HEADLINE, n) for n in range(1, 13)]
+    values = [report(HEADLINE, n).stable for n in range(1, 13)]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 

@@ -1,4 +1,4 @@
-"""Tests for bifiltered complexes: staircases, tensors, homology, splitting."""
+"""Tests for bifiltered complexes: staircases, tensors, homology."""
 
 import dataclasses
 from math import gcd
@@ -24,7 +24,6 @@ from gamma4.cfk import (
     tensor,
     trefoil_staircase,
     v_invariant,
-    verify_staircase2n,
     vi_by_rank,
     vi_sequence,
 )
@@ -273,16 +272,6 @@ def test_subcomplex_gradings():
     assert sub.alexander.tolist() == [0, 0, -1]
     # Level at or above the genus changes nothing.
     assert subcomplex_at_level(tref, 1).maslov.tolist() == tref.maslov.tolist()
-
-
-def test_verify_staircase2n():
-    for n in (1, 2, 6):
-        report = verify_staircase2n(n)
-        assert report.passed, report.failures()
-    assert verify_staircase2n(1).checks == ()  # base case: nothing to split
-    assert len(verify_staircase2n(2).checks) == 7
-    with pytest.raises(ValueError):
-        verify_staircase2n(0)
 
 
 def _bit_rows(c: BifilteredComplex) -> np.ndarray:

@@ -457,6 +457,30 @@ def test_modules_import_no_private_library_name():
     assert private == []
 
 
+def test_only_the_front_ends_import_verify():
+    """Computations never depend on checks: of the package's modules, only
+    ``cli`` and ``__init__`` import ``verify``."""
+
+    def imports_verify(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name == "gamma4.verify" for alias in node.names)
+        if not isinstance(node, ast.ImportFrom):
+            return False
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "gamma4":
+            return False
+        return module.split(".")[-1] == "verify" or any(
+            alias.name == "verify" for alias in node.names
+        )
+
+    importers = {
+        path.stem
+        for path in Path(gamma4.cli.__file__).parent.glob("*.py")
+        if any(map(imports_verify, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    }
+    assert importers == {"cli", "__init__"}
+
+
 @pytest.mark.parametrize(
     "contents",
     [

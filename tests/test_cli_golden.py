@@ -44,6 +44,8 @@ def _commands() -> list[list[str]]:
         # the horizon is checked before any profile is read: exit 2
         ["bound", EXPRESSIONS[1], "--stable", "0", "--genus-cap", "2"],
         ["verify", "--subset", "example-headline"],
+        ["verify", "--subset", "staircase2n"],
+        ["verify", "--subset", "sharpness"],
         ["invariants", ""],
         # a zero framing: exit 2
         ["d-invariant", EXPRESSIONS[0], "0"],

@@ -7,16 +7,16 @@ PUBLIC_API = [
     "FormalSemigroup", "InvalidKnotError", "KnotExpression",
     "MalformedExponentsError", "MalformedSequenceError", "NotCoprimeError",
     "NotSingleTowerError", "ObstructionOutcome", "OddEulerNumberError",
-    "OmegaEstimate", "SpincLabel", "StaircaseSplitReport", "TorusKnot",
+    "OmegaEstimate", "SpincLabel", "TorusKnot",
     "UnsupportedExpressionError", "VRoute", "VerifyCheck", "VerifyReport",
-    "__version__", "alexander", "batson_bound", "d_invariant",
+    "__version__", "alexander", "d_invariant",
     "d_invariant_negative", "dual", "euler_obstruction", "genus_obstruction",
-    "hom_wu_nu_plus", "main_bound", "mirror", "multiply", "nu_plus_bound",
+    "hom_wu_nu_plus", "mirror", "multiply",
     "nu_plus_v", "omega_upper", "parse", "render", "report", "route",
-    "run_verification", "signature", "signature_expr", "stable_bound",
+    "run_verification", "signature", "signature_expr",
     "staircase", "staircase_from_semigroup", "t_invariant", "tensor",
     "tensor_fold", "thin_bounds", "upsilon_bound", "upsilon_expr",
-    "upsilon_torus", "v_invariant", "verify_staircase2n", "vi_expr",
+    "upsilon_torus", "v_invariant", "vi_expr",
     "vi_lspace", "vi_sequence", "vi_tensor_oracle",
 ]
 
