@@ -19,9 +19,10 @@ tensor moves only one index, and a level shift keeps every pair.
 Staircase complexes model L-space knots; duals model mirrors; tensor
 products model connected sums.  Homology over the polynomial ring is exact
 Smith normal form: because arrows are Maslov-homogeneous, every matrix entry
-is a forced monomial and the reduction runs on bit rows (see ``_kernels``).
-Each complex packs those bit rows, and unpacks them into Python-int row and
-column bitsets, once, on first use.
+is a forced monomial, and the reduction is a column reduction with clearing
+on bitsets (see ``_kernels``).  Clearing needs ``d^2 = 0``, which every
+construction checks.  Each complex packs its bit rows, and unpacks them
+into Python-int column bitsets, once, on first use.
 
 The torsion invariants ``V_s`` drop out of the homology of the subcomplexes
 at each filtration level, making this module the independent oracle for all
@@ -33,7 +34,7 @@ built, checked or unpacked again; ``subcomplex_at_level`` builds that
 subcomplex explicitly, validated, as the reference.
 
 Two independent algorithms give the profile ``V_0, V_1, ...``.
-``vi_sequence`` eliminates each level completely and locates its tower;
+``vi_sequence`` reduces each level completely and locates its tower;
 the tensor-complex oracle uses it.  ``vi_by_rank`` asks, one grading at a
 time, whether a cycle of the level survives in the homology of the whole
 complex: three F_2 ranks of the target masks, built on first use, and one
@@ -70,7 +71,7 @@ class _Pattern(NamedTuple):
     on first use."""
 
     rows: np.ndarray  # uint64 bit rows: bit src of row tgt set per arrow
-    bits: tuple[tuple[int, ...], tuple[int, ...]]  # unpack_bit_rows(rows)
+    bits: tuple[int, ...]  # unpack_bit_rows(rows): bit tgt of column src
 
 
 #: The array fields of a complex, in constructor order.

@@ -48,7 +48,6 @@ and the oracle is the cross-check for every shortcut above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -161,11 +160,12 @@ def _invert_profile(nus: np.ndarray) -> tuple[int, ...]:
     ``nu_plus`` does not increase, so ``V_m = v`` exactly for the ``m`` in
     ``[nus[v], nus[v - 1])``, reading ``nus[-1]`` as ``nus[0] + 1``.  Each
     value is one int object repeated over its span, so a long profile holds
-    one int object per level ``v``, not one per entry.
+    one int object per level ``v``, not one per entry: an object array
+    repeats references, and its ``tolist`` hands them back as they are.
     """
     upper = np.concatenate(([nus[0] + 1], nus[:-1]))
-    spans = (upper - nus)[::-1].tolist()
-    return tuple(chain.from_iterable(map(repeat, range(len(nus) - 1, -1, -1), spans)))
+    levels = np.array(range(len(nus) - 1, -1, -1), dtype=object)
+    return tuple(levels.repeat((upper - nus)[::-1]).tolist())
 
 
 def vi_from_nuplus(a: FormalSemigroup, b: FormalSemigroup) -> tuple[int, ...]:

@@ -279,16 +279,35 @@ def _bit_rows(c: BifilteredComplex) -> np.ndarray:
     return _kernels.pack_bit_rows(len(c), entries)
 
 
+def _graded_invariants(result, grading: np.ndarray):
+    """What the graded structure theorem fixes in pivot triples: the rank,
+    the torsion ``(degree, row grading)`` pairs and the ``(row grading,
+    column grading)`` pairs."""
+    piv_row, piv_col, piv_deg = result
+    row_grades, col_grades = grading[piv_row].tolist(), grading[piv_col].tolist()
+    return (
+        len(piv_row),
+        sorted((d, g) for d, g in zip(piv_deg.tolist(), row_grades) if d >= 1),
+        sorted(zip(row_grades, col_grades)),
+    )
+
+
 def _snf_all(c: BifilteredComplex, bits):
-    """Pivot triples on ``c`` of ``graded_snf`` without and with ``bits``,
-    and of the NumPy reference."""
+    """Graded invariants on ``c`` of ``graded_snf``, which must return the
+    same int64 triples without and with ``bits``, and of the NumPy
+    reference."""
     grading = np.asarray(c.maslov, dtype=np.int64)
     rows = _bit_rows(c)
     before = rows.copy()
     fast = _kernels.graded_snf(rows, grading)
     shared = _kernels.graded_snf(rows, grading, bits=bits)
     assert np.array_equal(rows, before)  # the input is left unchanged
-    return fast, shared, _kernels._graded_snf_numpy(rows, grading.copy())
+    assert len(fast) == len(shared) == 3
+    for got, again in zip(fast, shared):
+        assert got.dtype == again.dtype == np.int64
+        assert got.tolist() == again.tolist()
+    ref = _kernels._graded_snf_numpy(rows, grading.copy())
+    return _graded_invariants(fast, grading), _graded_invariants(ref, grading)
 
 
 def _every_level(c: BifilteredComplex) -> list[BifilteredComplex]:
@@ -312,23 +331,19 @@ def _sample_complexes() -> list[BifilteredComplex]:
 
 
 def test_backends_agree_on_homology_structure():
-    """``graded_snf`` makes exactly the pivot choices of the NumPy reference:
-    identical (pivot_row, pivot_col, pivot_degree) triples at every level,
-    whether it unpacks the bit rows itself or is given the bitsets that
-    ``unpack_bit_rows`` made once for the whole complex."""
+    """``graded_snf`` has the graded invariants of the NumPy reference at
+    every level, whether it unpacks the bit rows itself or is given the
+    column bitsets that ``unpack_bit_rows`` made once for the whole
+    complex."""
     samples = [*_sample_complexes(), BifilteredComplex(("x",), (0,), (0,), (), (), ())]
     assert max(len(c) for c in samples) == 405
     for c in samples:
         bits = _kernels.unpack_bit_rows(_bit_rows(c))
-        row_bits, col_bits = bits
-        assert len(row_bits) == len(col_bits) == len(c)
+        assert len(bits) == len(c)
         for sub in _every_level(c):
             assert _kernels.unpack_bit_rows(_bit_rows(sub)) == bits  # same pattern
-            fast, shared, ref = _snf_all(sub, bits)
-            assert len(fast) == len(shared) == len(ref) == 3
-            for got, again, want in zip(fast, shared, ref):
-                assert got.dtype == again.dtype == want.dtype == np.int64
-                assert got.tolist() == again.tolist() == want.tolist()
+            got, want = _snf_all(sub, bits)
+            assert got == want
     empty = np.zeros(0, dtype=np.int64)
     for res in (
         _kernels.graded_snf(_kernels.pack_bit_rows(0, []), empty),
@@ -337,33 +352,101 @@ def test_backends_agree_on_homology_structure():
         assert [x.tolist() for x in res] == [[], [], []]
 
 
+@pytest.mark.slow
+def test_backends_agree_on_homology_structure_at_scale():
+    """Every level of the 1 323-generator oracle complex of
+    ``T(3,5) + T(2,7) - T(5,6) - T(2,3)``, on the column bitsets of the
+    whole complex."""
+    c = tensor_fold([
+        torus_staircase(3, 5), torus_staircase(2, 7),
+        dual(torus_staircase(5, 6)), dual(torus_staircase(2, 3)),
+    ])
+    assert len(c) == 1323
+    bits = _kernels.unpack_bit_rows(_bit_rows(c))
+    levels = _every_level(c)
+    assert len(levels) == 38
+    for sub in levels:
+        got, want = _snf_all(sub, bits)
+        assert got == want
+
+
+def _mod2_inverse_unitriangular(b: np.ndarray) -> np.ndarray:
+    """``b^-1`` mod 2 for ``b = 1 + N`` with ``N`` nilpotent: ``1 + N + N^2 + ...``."""
+    n = len(b)
+    nilpotent = b ^ np.eye(n, dtype=np.int64)
+    inverse, power = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    for _ in range(n):
+        power = power @ nilpotent % 2
+        inverse ^= power
+    return inverse
+
+
 @st.composite
-def _homogeneous_patterns(draw):
-    """Gradings over many classes and a pattern whose every entry (i, j) has
-    ``grade[i] - grade[j]`` odd and at least -1: a homogeneous boundary of
-    degree -1 with non-negative entry degrees, not necessarily ``d^2 = 0``."""
-    grade = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=40))
+def _homogeneous_differentials(draw):
+    """A homogeneous differential of degree -1 with non-negative entry
+    degrees, and the graded invariants it must have.
+
+    ``graded_snf`` clears, which needs ``d^2 = 0``, so the patterns are
+    differentials, not arbitrary homogeneous patterns: a direct sum of
+    pieces ``x -> U^d y`` and free generators under a random numbering,
+    conjugated by a random homogeneous unitriangular change of basis
+    ``B = 1 + N``.  ``N`` has entries (a, b) with ``grade[a] - grade[b]``
+    even and ``(grade[b], b) < (grade[a], a)``, so ``B`` is invertible and
+    ``B D B^-1`` keeps the pieces' invariants.  Over F_2[U] every entry is
+    a forced monomial, so the products are mod-2 products of patterns."""
+    pieces = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 2)), max_size=12))
+    free = draw(st.lists(st.integers(-4, 4), max_size=4))
+    grade = [g for x, e in pieces for g in (x, x - 1 + 2 * e)] + free
     n = len(grade)
+    place = draw(st.permutations(range(n)))
+    grading = np.zeros(n, dtype=np.int64)
+    grading[place] = grade
+    d = np.zeros((n, n), dtype=np.int64)
+    for k in range(len(pieces)):
+        d[place[2 * k + 1], place[2 * k]] = 1
     allowed = [
-        (i, j) for i in range(n) for j in range(n)
-        if (grade[i] - grade[j]) % 2 and grade[i] - grade[j] >= -1
+        (a, b) for a in range(n) for b in range(n)
+        if (grading[a] - grading[b]) % 2 == 0 and (grading[b], b) < (grading[a], a)
     ]
-    entries = draw(st.lists(st.sampled_from(allowed), max_size=4 * n)) if allowed else []
-    return np.array(grade, dtype=np.int64), _kernels.pack_bit_rows(n, entries)
+    b = np.eye(n, dtype=np.int64)
+    for entry in draw(st.sets(st.sampled_from(allowed), max_size=4 * n)) if allowed else ():
+        b[entry] = 1
+    b_inv = _mod2_inverse_unitriangular(b)
+    assert not (b @ b_inv % 2 ^ np.eye(n, dtype=np.int64)).any()
+    differential = b @ d % 2 @ b_inv % 2
+    assert not (differential @ differential % 2).any()
+    expected = (
+        len(pieces),
+        sorted((e, x - 1 + 2 * e) for x, e in pieces if e >= 1),
+        sorted((x - 1 + 2 * e, x) for x, e in pieces),
+    )
+    return grading, _kernels.pack_bit_rows(n, np.argwhere(differential)), expected
 
 
 @settings(max_examples=200, deadline=None)
-@given(_homogeneous_patterns())
-def test_backends_agree_on_homogeneous_patterns(pattern):
-    """The grade windows of ``graded_snf`` skip only classes that cannot hold
-    an entry: its triples equal the NumPy reference's, with and without
-    ``bits``, on patterns beyond the sample complexes."""
-    grading, rows = pattern
+@given(_homogeneous_differentials())
+def test_backends_agree_on_homogeneous_patterns(case):
+    """On homogeneous differentials beyond the sample complexes, the graded
+    invariants of ``graded_snf``, with and without ``bits``, equal those of
+    the NumPy reference and those of the pieces the differential was made
+    of."""
+    grading, rows, expected = case
     fast = _kernels.graded_snf(rows, grading)
     shared = _kernels.graded_snf(rows, grading, bits=_kernels.unpack_bit_rows(rows))
+    assert [x.tolist() for x in fast] == [x.tolist() for x in shared]
     ref = _kernels._graded_snf_numpy(rows.copy(), grading.copy())
-    for got, again, want in zip(fast, shared, ref):
-        assert got.tolist() == again.tolist() == want.tolist()
+    assert _graded_invariants(fast, grading) == _graded_invariants(ref, grading) == expected
+
+
+def test_clearing_skips_only_pivot_rows():
+    """``dx = y1 + y2``, ``dy1 = dy2 = z``: the column of ``x`` owns pivot
+    row ``y1``, so column ``y1`` is cleared, while column ``y2``, a row of
+    that column but not its pivot, must still be reduced."""
+    grading = np.array([0, -1, -1, -2], dtype=np.int64)  # x, y1, y2, z
+    rows = _kernels.pack_bit_rows(4, [(1, 0), (2, 0), (3, 1), (3, 2)])
+    got = _kernels.graded_snf(rows, grading)
+    assert [x.tolist() for x in got] == [[1, 3], [0, 2], [0, 0]]
+    assert _graded_invariants(got, grading) == (2, [], [(-2, -1), (-1, 0)])
 
 
 def _assert_level_homology_matches_subcomplex(c: BifilteredComplex) -> None:
@@ -549,11 +632,12 @@ def test_packed_pattern_leaves_equality_and_hash_alone():
     vi_sequence(c)
     assert c._pattern.rows is rows  # packed once, then reused
     assert c._pattern.bits is bits  # unpacked once, then reused
-    assert isinstance(bits, tuple) and len(bits) == 2
-    for bitsets in bits:
-        assert isinstance(bitsets, tuple) and len(bitsets) == len(c)
-        assert all(type(b) is int for b in bitsets)
+    # The column bitsets alone: bit tgt of column src set per arrow.
+    assert isinstance(bits, tuple) and len(bits) == len(c)
+    assert all(type(b) is int for b in bits)
     assert bits == _kernels.unpack_bit_rows(rows)
+    assert sum(b.bit_count() for b in bits) == len(c.src)
+    assert all(bits[src] >> tgt & 1 for src, tgt in zip(c.src.tolist(), c.tgt.tolist()))
     assert not rows.flags.writeable
     with pytest.raises(ValueError):
         rows[0, 0] = 1
@@ -582,6 +666,13 @@ def test_level_sweep_unpacks_bitsets_once(monkeypatch):
     monkeypatch.undo()
     assert unpacks == [(405, 7)]
     assert eliminations == [True] * 24
+    # The shared bitsets change nothing: the same triples as an unpack per level.
+    rows, bits = c._pattern
+    for s in levels:
+        grading = c.maslov - 2 * np.maximum(c.alexander - s, 0)
+        shared = _kernels.graded_snf(rows, grading, bits=bits)
+        alone = _kernels.graded_snf(rows, grading)
+        assert [x.tolist() for x in shared] == [x.tolist() for x in alone]
 
 
 def test_level_homology_rejects_negative_shifted_exponent():

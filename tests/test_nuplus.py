@@ -1,7 +1,7 @@
 """Tests for the closed-form torsion profiles and the expression router."""
 
 import random
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations, repeat
 from math import gcd
 from unittest import mock
 
@@ -18,6 +18,7 @@ from gamma4.expressions import KnotExpression, mirror, parse
 from gamma4.nuplus import (
     UnsupportedExpressionError,
     _infimal_fold,
+    _invert_profile,
     _tensor_generator_count,
     hom_wu_nu_plus,
     nu_plus_v,
@@ -353,6 +354,34 @@ def test_profile_shape(a, b):
     assert nus[-1] == 0
     assert all(x >= y for x, y in zip(nus, nus[1:]))  # non-increasing
     assert all(x > 0 for x in nus[:-1])  # ends exactly at the first zero
+
+
+def _invert_by_repeats(nus: np.ndarray) -> tuple[int, ...]:
+    """The profile inversion as a chain of ``repeat``s, one per level."""
+    upper = [int(nus[0]) + 1, *nus[:-1].tolist()]
+    spans = [u - x for u, x in zip(upper, nus.tolist())][::-1]
+    return tuple(chain.from_iterable(map(repeat, range(len(nus) - 1, -1, -1), spans)))
+
+
+def _assert_inversion(nus: np.ndarray) -> None:
+    profile = _invert_profile(nus)
+    assert profile == _invert_by_repeats(nus)
+    assert all(type(v) is int for v in profile)
+    assert len({id(v) for v in profile}) <= len(nus)  # one int object per level
+
+
+@given(semigroups, semigroups)
+@settings(max_examples=30, deadline=None)
+def test_profile_inversion_matches_repeats(a, b):
+    _assert_inversion(nu_profile(a, b))
+
+
+def test_profile_inversion_shares_one_int_per_level():
+    """601 levels, most above the small ints that Python caches anyway."""
+    nus = np.arange(600, -1, -1, dtype=np.int64) * 3
+    _assert_inversion(nus)
+    assert len(_invert_profile(nus)) == 1801
+    _assert_inversion(np.zeros(1, dtype=np.int64))
 
 
 FAMILY_KNOTS = [parse(s).terms[0][0] for s in ["T(2,3)", "T(2,5)", "T(3,4)", "T(3,5)", "T(5,6)"]]
