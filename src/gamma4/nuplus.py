@@ -36,17 +36,20 @@ apply; any disagreement is a hard failure, never a silent fallback.
 
 The adjacent-parameter substitution is stronger than the fold: it holds
 at the level of the underlying filtered complex (the power's complex
-splits as the collapsed staircase plus acyclic pieces), so the direct
-tensor path applies it inside arbitrary tensor contexts to keep generator
-counts down, and reads the profile off one F_2 rank test per level
-(``cfk.vi_by_rank``).  ``vi_tensor_oracle`` deliberately does neither —
-it builds one staircase per copy and runs graded Smith normal form at
-every level (``cfk.vi_sequence``).  The two are independent algorithms,
-and the oracle is the cross-check for every shortcut above.
+splits as the collapsed staircase plus acyclic pieces).  It happens in
+one place, the list of a side's factor classes, which the router, the
+generator budget and the direct tensor path all read, so it applies
+inside any tensor product.  The direct path reads the profile off one F_2
+rank test per level (``cfk.vi_by_rank``).  ``vi_tensor_oracle``
+deliberately does neither — it builds one staircase per copy of each
+term as written and runs graded Smith normal form at every level
+(``cfk.vi_sequence``).  The two are independent algorithms, and the
+oracle is the cross-check for every shortcut above.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +64,7 @@ from .cfk import (
     vi_by_rank,
     vi_sequence,
 )
-from .expressions import KnotExpression, mirror, split_parts
+from .expressions import KnotExpression, TorusKnot, mirror, split_parts
 from .semigroups import UNKNOT_SEMIGROUP, FormalSemigroup
 from .torus import representative
 
@@ -178,29 +181,27 @@ def vi_from_nuplus(a: FormalSemigroup, b: FormalSemigroup) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _part_factors(part: KnotExpression) -> list[FormalSemigroup]:
-    """One semigroup factor per summand, collapsing adjacent-parameter powers.
+def _factor_classes(part: KnotExpression) -> list[tuple[TorusKnot, int]]:
+    """A side's factor classes ``(knot, copies)``, largest genus first.
 
-    ``n`` copies of ``T(p, p+1)`` contribute exactly like the single knot
-    ``T(p, pn+1)`` — on either side of a difference — so such powers
-    collapse to one factor.
+    This is the one place where adjacent-parameter powers collapse: ``c``
+    copies of ``T(p, p+1)`` become the class ``(T(p, pc+1), 1)``, because
+    the power's complex splits as that staircase plus acyclic summands.
+    Every other knot keeps its count.  Nothing is built.  The sort is
+    stable, and ``tensor_fold`` keeps this order among staircases of equal
+    length, so it fixes the generator numbering of ``tensor_complex``.
     """
-    factors = []
-    for knot, count in part:
-        if knot.q == knot.p + 1:
-            rep = representative(count, knot.p)
-            factors.append(FormalSemigroup.from_generators(rep.p, rep.q))
-        else:
-            factors.extend(
-                [FormalSemigroup.from_generators(knot.p, knot.q)] * count
-            )
-    factors.sort(key=lambda s: s.genus, reverse=True)
-    return factors
+    classes = [
+        (representative(count, knot.p), 1) if knot.q == knot.p + 1 else (knot, count)
+        for knot, count in part
+    ]
+    classes.sort(key=lambda kc: kc[0].genus, reverse=True)
+    return classes
 
 
-def _factor_count(part: KnotExpression) -> int:
-    """How many factors ``_part_factors`` returns, counted without building them."""
-    return sum(1 if knot.q == knot.p + 1 else count for knot, count in part)
+def _semigroup(knot: TorusKnot) -> FormalSemigroup:
+    """The two-generator semigroup of ``knot``."""
+    return FormalSemigroup.from_generators(knot.p, knot.q)
 
 
 def _infimal_fold(factors: list[FormalSemigroup]) -> FormalSemigroup:
@@ -233,70 +234,53 @@ def _infimal_fold(factors: list[FormalSemigroup]) -> FormalSemigroup:
     return FormalSemigroup(members)
 
 
-def _tensor_generator_count(expr: KnotExpression) -> int:
-    """Number of generators the direct tensor path would allocate."""
-    positive, negative = split_parts(expr)
-    count = 1
-    for sg in _part_factors(positive) + _part_factors(negative):
-        count *= len(staircase_exponents(sg))
-    return count
-
-
 def route(expr: KnotExpression, genus_cap: int = DEFAULT_GENUS_CAP) -> VRoute:
     """Decide how to compute the torsion profile of ``expr``.
 
-    Budgets are checked from the term counts before any factor is built.
+    Budgets are checked from the factor classes before any factor is built.
     """
-    positive, negative = split_parts(expr)
-    sides = (_factor_count(positive), _factor_count(negative))
-    if min(sides) > 0 and max(sides) > 1:
-        return _complex_route(expr, positive, negative, genus_cap)
-    part = positive if sides[0] else negative
-    if max(sides) > 1 and part.total_genus > genus_cap:
-        # an adjacent power has the genus of its representative, so this is
-        # the genus of the reduced side
+    sides = [_factor_classes(part) for part in split_parts(expr)]
+    counts = [sum(copies for _, copies in side) for side in sides]
+    genera = [sum(knot.genus * copies for knot, copies in side) for side in sides]
+    if min(counts) > 0 and max(counts) > 1:
+        preface = "several staircases share a side"
+        total = sum(genera)
+        excess = (
+            f"total genus {total} exceeds the cap {genus_cap}"
+            if total > genus_cap
+            else generator_excess(expr)
+        )
+        if excess:
+            return VRoute(kind="unsupported", reason=f"{preface}; {excess}")
+        return VRoute(kind="complex", genus=total, reason=preface)
+    if max(counts) > 1 and max(genera) > genus_cap:
+        # the other side is empty, so this is the genus of the reduced side
         return VRoute(
             kind="unsupported",
-            reason=f"reduced genus {part.total_genus} exceeds the cap {genus_cap}",
+            reason=f"reduced genus {max(genera)} exceeds the cap {genus_cap}",
         )
-    return VRoute(
-        kind="closed-form",
-        positive=_infimal_fold(_part_factors(positive)),
-        negative=_infimal_fold(_part_factors(negative)),
+    positive, negative = (
+        _infimal_fold([s for knot, n in side for s in [_semigroup(knot)] * n])
+        for side in sides
     )
+    return VRoute(kind="closed-form", positive=positive, negative=negative)
 
 
 def generator_excess(expr: KnotExpression) -> str:
-    """Why the tensor complex of ``expr`` is too big, or ``""`` if it is not."""
-    generators = _tensor_generator_count(expr)
+    """Why the tensor complex of ``expr`` is too big, or ``""`` if it is not.
+
+    Each factor class contributes its staircase length ``copies`` times.
+    """
+    generators = 1
+    for part in split_parts(expr):
+        for knot, copies in _factor_classes(part):
+            generators *= len(staircase_exponents(_semigroup(knot))) ** copies
     if generators > COMPLEX_GENERATOR_LIMIT:
         return (
             f"the tensor complex would need {generators} "
             f"generators (limit {COMPLEX_GENERATOR_LIMIT})"
         )
     return ""
-
-
-def _complex_route(
-    expr: KnotExpression,
-    positive: KnotExpression,
-    negative: KnotExpression,
-    genus_cap: int,
-) -> VRoute:
-    """Route to the direct tensor computation, budget permitting."""
-    preface = "several staircases share a side"
-    total = positive.total_genus + negative.total_genus
-    if total > genus_cap:
-        return VRoute(
-            kind="unsupported",
-            reason=(
-                f"{preface}; total genus {total} exceeds the cap {genus_cap}"
-            ),
-        )
-    excess = generator_excess(expr)
-    if excess:
-        return VRoute(kind="unsupported", reason=f"{preface}; {excess}")
-    return VRoute(kind="complex", genus=total, reason=preface)
 
 
 def tensor_fold(pieces: list[BifilteredComplex]) -> BifilteredComplex:
@@ -314,39 +298,41 @@ def tensor_fold(pieces: list[BifilteredComplex]) -> BifilteredComplex:
     return acc
 
 
+def _tensor_of(
+    positive: Iterable[tuple[TorusKnot, int]],
+    negative: Iterable[tuple[TorusKnot, int]],
+) -> BifilteredComplex:
+    """One staircase per positive class and one dual per negative class,
+    each repeated ``copies`` times, tensored by ``tensor_fold``."""
+    pieces: list[BifilteredComplex] = []
+    for classes, mirrored in ((positive, False), (negative, True)):
+        for knot, copies in classes:
+            piece = staircase_from_semigroup(_semigroup(knot))
+            pieces += [dual(piece) if mirrored else piece] * copies
+    return tensor_fold(pieces)
+
+
 def tensor_complex(expr: KnotExpression) -> BifilteredComplex:
     """The tensor of staircases and duals representing the expression.
 
-    Adjacent-parameter powers collapse to their representative staircase
-    first; the substitution is valid inside tensor products, and it keeps
-    the generator count in line with what the route guard promised.  An
+    It is built from the factor classes, so adjacent-parameter powers
+    collapse to their representative staircase (valid inside tensor
+    products), and ``generator_excess`` counts exactly its generators.  An
     empty expression yields the one-generator unknot complex.
     """
-    positive, negative = split_parts(expr)
-    pieces = [staircase_from_semigroup(s) for s in _part_factors(positive)]
-    pieces += [
-        dual(staircase_from_semigroup(s)) for s in _part_factors(negative)
-    ]
-    return tensor_fold(pieces)
+    return _tensor_of(*(_factor_classes(part) for part in split_parts(expr)))
 
 
 def vi_tensor_oracle(expr: KnotExpression) -> tuple[int, ...]:
     """Torsion profile from the raw tensor, one staircase per copy.
 
-    No power collapse, no reductions, and graded Smith normal form at every
-    level where the direct path runs rank tests: this is the independent
-    oracle the closed form and the direct path are tested against.  It
-    imposes no size guard, so callers choose their own budgets.
+    Terms as written: no power collapse, no reductions, and graded Smith
+    normal form at every level where the direct path runs rank tests: this
+    is the independent oracle the closed form and the direct path are
+    tested against.  It imposes no size guard, so callers choose their own
+    budgets.
     """
-    positive, negative = split_parts(expr)
-    pieces: list[BifilteredComplex] = []
-    for knot, count in positive:
-        sg = FormalSemigroup.from_generators(knot.p, knot.q)
-        pieces.extend([staircase_from_semigroup(sg)] * count)
-    for knot, count in negative:
-        sg = FormalSemigroup.from_generators(knot.p, knot.q)
-        pieces.extend([dual(staircase_from_semigroup(sg))] * count)
-    return vi_sequence(tensor_fold(pieces))
+    return vi_sequence(_tensor_of(*split_parts(expr)))
 
 
 def vi_expr(

@@ -6,6 +6,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -455,6 +456,44 @@ def test_modules_import_no_private_library_name():
             and is_private(node.attr)
         ]
     assert private == []
+
+
+def test_the_power_collapse_has_one_home():
+    """Adjacent-parameter powers collapse in one function: it is the only
+    function of the package that calls ``representative``, and no other
+    ``nuplus`` function compares ``q == p + 1``."""
+    adjacent = re.compile(r"(\w+\.)?q == (\w+\.)?p \+ 1|(\w+\.)?p \+ 1 == (\w+\.)?q")
+
+    def scopes(tree):
+        """The module and each function in it, with the nodes each holds
+        outside its nested functions."""
+        todo = [("<module>", tree)]
+        while todo:
+            name, scope = todo.pop()
+            nodes, stack = [], list(ast.iter_child_nodes(scope))
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    todo.append((node.name, node))
+                else:
+                    nodes.append(node)
+                    stack.extend(ast.iter_child_nodes(node))
+            yield name, nodes
+
+    callers, comparers = set(), set()
+    for path in sorted(Path(gamma4.cli.__file__).parent.glob("*.py")):
+        for name, nodes in scopes(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in nodes:
+                if isinstance(node, ast.Call) and (
+                    ast.unparse(node.func).split(".")[-1] == "representative"
+                ):
+                    callers.add((path.stem, name))
+                if isinstance(node, ast.Compare) and adjacent.fullmatch(
+                    ast.unparse(node)
+                ):
+                    comparers.add((path.stem, name))
+    assert len(callers) == 1, callers
+    assert {c for c in comparers if c[0] == "nuplus"} <= callers
 
 
 def test_only_the_front_ends_import_verify():

@@ -55,6 +55,14 @@ def _commands() -> list[list[str]]:
         ["cfk-dump", EXPRESSIONS[1], "--genus-cap", "2"],
         # a closed-form route whose dump would need 78125 generators: exit 3
         ["cfk-dump", "7*T(2,5)"],
+        # two 5-generator staircases: their order sets the numbering
+        ["cfk-dump", "T(2,5) + T(3,4) - T(2,3)"],
+        # an adjacent power inside the tensor
+        ["cfk-dump", "2*T(2,3) + T(2,5) - T(3,4)"],
+        # a one-sided sum over the cap: exit 3
+        ["invariants", "T(2,3) + T(3,5)", "--genus-cap", "3"],
+        # a complex route over the generator limit: exit 3
+        ["bound", "8*T(2,5) - T(2,3)"],
     ]
     return commands
 

@@ -1,6 +1,7 @@
 """Tests for the closed-form torsion profiles and the expression router."""
 
 import random
+import re
 from itertools import chain, combinations_with_replacement, permutations, repeat
 from math import gcd
 from unittest import mock
@@ -12,14 +13,21 @@ from hypothesis import strategies as st
 
 import gamma4.cfk
 import gamma4.nuplus
+import gamma4.verify
 from gamma4 import _kernels
-from gamma4.cfk import staircase_exponents, tensor, vi_by_rank, vi_sequence
+from gamma4.cfk import (
+    staircase,
+    staircase_exponents,
+    tensor,
+    vi_by_rank,
+    vi_sequence,
+)
 from gamma4.expressions import KnotExpression, mirror, parse
 from gamma4.nuplus import (
     UnsupportedExpressionError,
     _infimal_fold,
     _invert_profile,
-    _tensor_generator_count,
+    generator_excess,
     hom_wu_nu_plus,
     nu_plus_v,
     nu_profile,
@@ -153,6 +161,14 @@ ONE_SIDED_KNOTS = [
 ]
 
 
+def budgeted_generators(expr: KnotExpression) -> int:
+    """The generator count ``generator_excess`` reads for ``expr``: with a
+    limit of 0 every count is over it and printed."""
+    with mock.patch.object(gamma4.nuplus, "COMPLEX_GENERATOR_LIMIT", 0):
+        excess = generator_excess(expr)
+    return int(re.fullmatch(r"the tensor complex would need (\d+) .*", excess)[1])
+
+
 def one_sided_sums(low: int, high: int) -> list[KnotExpression]:
     """Sums of 2 and 3 of the knots above whose tensor complex (adjacent
     powers collapsed) has more than ``low`` and at most ``high`` generators."""
@@ -160,7 +176,7 @@ def one_sided_sums(low: int, high: int) -> list[KnotExpression]:
     for size in (2, 3):
         for combo in combinations_with_replacement(ONE_SIDED_KNOTS, size):
             expr = KnotExpression.from_terms((knot, 1) for knot in combo)
-            if low < _tensor_generator_count(expr) <= high:
+            if low < budgeted_generators(expr) <= high:
                 out.append(expr)
     return out
 
@@ -295,6 +311,45 @@ def test_route_generator_limit():
     assert "generators" in plan.reason
     with pytest.raises(UnsupportedExpressionError):
         vi_expr(parse("8*T(2,5) - T(2,3)"))
+
+
+def test_budget_counts_the_built_complex():
+    """The generator budget reads the same factor classes as the build, so
+    it counts exactly the complex that ``tensor_complex`` builds."""
+    family = gamma4.verify._genus_limited_family(14)
+    assert len(family) == 491
+    for expr in family:
+        assert budgeted_generators(expr) == len(tensor_complex(expr)), expr
+
+
+def test_oracle_builds_one_staircase_per_copy(monkeypatch):
+    """The oracle takes the terms as written: ``2*T(2,3)`` is two trefoil
+    staircases there, but one ``T(2,5)`` staircase in the routed complex."""
+    expr = parse("2*T(2,3) - T(2,5)")
+    sizes = []
+
+    def measured(complex_):
+        sizes.append(len(complex_))
+        return vi_sequence(complex_)
+
+    monkeypatch.setattr(gamma4.nuplus, "vi_sequence", measured)
+    vi_tensor_oracle(expr)
+    assert sizes == [45]
+    assert len(tensor_complex(expr)) == 25
+
+
+def test_tensor_complex_builds_one_staircase_per_class(monkeypatch):
+    """Copies of a class share one staircase: ``3*T(2,5) - T(3,4)`` builds
+    two, not four."""
+    built = []
+
+    def counted(exponents):
+        built.append(tuple(exponents))
+        return staircase(exponents)
+
+    monkeypatch.setattr(gamma4.cfk, "staircase", counted)
+    assert len(tensor_complex(parse("3*T(2,5) - T(3,4)"))) == 5**3 * 5
+    assert len(built) == 2
 
 
 def test_mixed_multifactor_closed_form_fails():
