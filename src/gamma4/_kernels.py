@@ -2,9 +2,9 @@
 
 Each kernel has one implementation.  The graded Smith normal form
 ``graded_snf`` is a column reduction with clearing on Python-int bitsets;
-``_graded_snf_numpy``, a doubly-minimal elimination, is the NumPy reference
-whose graded invariants it is tested against.  ``f2_rank`` is the plain F_2
-rank of Python-int bitsets.  The sieve, signature and profile-grid kernels
+the tests hold it to the graded invariants of a NumPy doubly-minimal
+elimination, which lives with them.  ``f2_rank`` is the plain F_2 rank of
+Python-int bitsets.  The sieve, signature and profile-grid kernels
 are plain NumPy.  The profile grid ``max_gap_profile`` takes integer arrays
 only and returns int64.  Its long rows loop over blocks of levels outside
 and run starts inside, and run in int32 whenever every input value lies in
@@ -15,8 +15,9 @@ This module owns two formats.  Every integer array or sequence that enters
 a complex, a semigroup, a staircase or the profile grid passes one gate,
 ``int64_array``.  The bitset format: ``pack_bit_rows`` packs a pattern into
 uint64 bit rows, and ``unpack_bit_rows`` turns those into the Python-int
-column bitsets that ``graded_snf`` reduces.  A caller that runs one pattern
-under many gradings unpacks it once and passes the bitsets as
+column bitsets that ``graded_snf`` reduces; ``column_bitsets`` builds the
+same bitsets straight from a differential's arrows.  A caller that runs one
+pattern under many gradings builds them once and passes them as
 ``graded_snf(..., bits=...)``.
 
 The central kernel diagonalizes differentials over the one-variable
@@ -112,6 +113,19 @@ def unpack_bit_rows(rows: np.ndarray) -> tuple[int, ...]:
     return tuple(col_bits)
 
 
+def column_bitsets(n: int, src: np.ndarray, tgt: np.ndarray) -> tuple[int, ...]:
+    """Python-int column bitsets of an ``n``-generator differential, built
+    straight from its arrows ``src -> tgt``: bit ``tgt`` of column ``src``.
+
+    The same bitsets as ``unpack_bit_rows(pack_bit_rows(n, pairs))`` with one
+    ``(tgt, src)`` pair per arrow, with no bit rows in between.
+    """
+    col_bits = [0] * n
+    for s, t in zip(src.tolist(), tgt.tolist()):
+        col_bits[s] |= 1 << t
+    return tuple(col_bits)
+
+
 def f2_rank(vectors) -> int:
     """Rank over F_2 of Python-int bitsets, bit i being coordinate i.
 
@@ -133,66 +147,6 @@ def f2_rank(vectors) -> int:
 # ---------------------------------------------------------------------------
 # Graded Smith normal form (column reduction with clearing)
 # ---------------------------------------------------------------------------
-
-
-def _graded_snf_numpy(rows: np.ndarray, grading: np.ndarray):
-    """NumPy reference for ``graded_snf``, kept for the tests.
-
-    ``rows`` is consumed (modified in place).  Returns three int64 arrays
-    (pivot_row, pivot_col, pivot_degree); the number of pivots is the rank.
-    """
-    n = int(grading.shape[0])
-    empty = np.zeros(0, dtype=np.int64)
-    if n == 0:
-        return empty, empty.copy(), empty.copy()
-    row_active = np.ones(n, dtype=bool)
-    col_active = np.ones(n, dtype=bool)
-    piv_i: list[int] = []
-    piv_j: list[int] = []
-    piv_d: list[int] = []
-
-    byte_view = rows.view(np.uint8)  # aliases rows; requires C-contiguity
-
-    def row_support(i: int) -> np.ndarray:
-        bits = np.unpackbits(byte_view[i], bitorder="little")[:n]
-        return np.nonzero(bits.astype(bool) & col_active)[0]
-
-    def col_rows(j: int) -> np.ndarray:
-        word, bit = j >> 6, np.uint64(1) << np.uint64(j & 63)
-        return np.nonzero(row_active & ((rows[:, word] & bit) != 0))[0]
-
-    for j_start in range(n):
-        while col_active[j_start]:
-            holders = col_rows(j_start)
-            if holders.size == 0:
-                break  # zero column: a kernel direction, never a pivot
-            i_cur = int(holders[np.argmin(grading[holders])])
-            j_cur = j_start
-            while True:
-                support = row_support(i_cur)
-                j_best = int(support[np.argmax(grading[support])])
-                if grading[j_best] > grading[j_cur]:
-                    j_cur = j_best
-                    continue
-                holders = col_rows(j_cur)
-                i_best = int(holders[np.argmin(grading[holders])])
-                if grading[i_best] < grading[i_cur]:
-                    i_cur = i_best
-                    continue
-                break
-            piv_i.append(i_cur)
-            piv_j.append(j_cur)
-            piv_d.append((int(grading[i_cur]) - int(grading[j_cur]) + 1) >> 1)
-            row_active[i_cur] = False
-            col_active[j_cur] = False
-            hit = col_rows(j_cur)
-            if hit.size:
-                rows[hit] ^= rows[i_cur]
-    return (
-        np.array(piv_i, dtype=np.int64),
-        np.array(piv_j, dtype=np.int64),
-        np.array(piv_d, dtype=np.int64),
-    )
 
 
 def _first_extreme(bits: int, classes) -> int:
@@ -222,9 +176,11 @@ def graded_snf(
 
     ``rows`` (uint64 bit rows from ``pack_bit_rows``, left unchanged) encodes
     the nonzero pattern; entry degrees are implied by ``grading``.  ``bits``
-    is ``unpack_bit_rows(rows)``, passed by callers that reduce one pattern
-    under many gradings; without it ``rows`` is unpacked here.  Returns
-    int64 arrays ``(pivot_row, pivot_col, pivot_degree)``.
+    are the column bitsets of that pattern, ``unpack_bit_rows(rows)`` or the
+    same bitsets from ``column_bitsets``, passed by callers that reduce one
+    pattern under many gradings; when ``bits`` is given ``rows`` is not
+    read, and without it ``rows`` is unpacked here.  Returns int64 arrays
+    ``(pivot_row, pivot_col, pivot_degree)``.
 
     Column reduction with clearing: columns are taken by descending grading,
     ties by index.  A column's pivot is its row of least grading, lowest
@@ -245,10 +201,10 @@ def graded_snf(
     makes column k zero without reducing it.  Without ``d^2 = 0`` the
     results are wrong, not refused.
 
-    The pivots may differ from those of ``_graded_snf_numpy``, but the graded
-    invariants do not: the rank, the ``(degree, row grading)`` pairs and the
-    ``(row grading, column grading)`` pairs are fixed by the graded structure
-    theorem.
+    The pivots may differ from those of a doubly-minimal elimination, but
+    the graded invariants do not: the rank, the ``(degree, row grading)``
+    pairs and the ``(row grading, column grading)`` pairs are fixed by the
+    graded structure theorem.
     """
     n = len(grading)
     empty = np.zeros(0, dtype=np.int64)

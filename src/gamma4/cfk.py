@@ -13,16 +13,17 @@ A complex is its arrays: read-only int64 gradings per generator, and ends
 and U-exponents per arrow, which every construction computes and both
 homology algorithms read.  No construction needs cancellation mod 2, as
 none can make a duplicate arrow: staircase targets are distinct, reversing
-distinct pairs keeps them distinct, a left or a right Leibniz term of a
-tensor moves only one index, and a level shift keeps every pair.
+distinct pairs keeps them distinct, each Leibniz term of a tensor moves
+the index of one factor only, and a level shift keeps every pair.
 
 Staircase complexes model L-space knots; duals model mirrors; tensor
-products model connected sums.  Homology over the polynomial ring is exact
-Smith normal form: because arrows are Maslov-homogeneous, every matrix entry
-is a forced monomial, and the reduction is a column reduction with clearing
-on bitsets (see ``_kernels``).  Clearing needs ``d^2 = 0``, which every
-construction checks.  Each complex packs its bit rows, and unpacks them
-into Python-int column bitsets, once, on first use.
+products, of any number of factors in one construction, model connected
+sums.  Homology over the polynomial ring is exact Smith normal form:
+because arrows are Maslov-homogeneous, every matrix entry is a forced
+monomial, and the reduction is a column reduction with clearing on bitsets
+(see ``_kernels``).  Clearing needs ``d^2 = 0``, which every construction
+checks.  Each complex packs its bit rows, and builds its Python-int column
+bitsets straight from its arrows, once, on first use.
 
 The torsion invariants ``V_s`` drop out of the homology of the subcomplexes
 at each filtration level, making this module the independent oracle for all
@@ -30,8 +31,8 @@ closed-form counting paths.  Truncating at level ``s`` moves gradings and
 arrow exponents but never changes which generators an arrow joins, and it
 preserves all three invariants.  So level homology is read off the parent's
 packed pattern and its bitsets with shifted gradings, with no subcomplex
-built, checked or unpacked again; ``subcomplex_at_level`` builds that
-subcomplex explicitly, validated, as the reference.
+built or checked and no bitsets built again; ``subcomplex_at_level``
+builds that subcomplex explicitly, validated, as the reference.
 
 Two independent algorithms give the profile ``V_0, V_1, ...``.
 ``vi_sequence`` reduces each level completely and locates its tower;
@@ -48,6 +49,8 @@ them, such as the splitting of trefoil tensor powers, are in ``verify``.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -71,7 +74,7 @@ class _Pattern(NamedTuple):
     on first use."""
 
     rows: np.ndarray  # uint64 bit rows: bit src of row tgt set per arrow
-    bits: tuple[int, ...]  # unpack_bit_rows(rows): bit tgt of column src
+    bits: tuple[int, ...]  # column bitsets, from the arrows: bit tgt of column src
 
 
 #: The array fields of a complex, in constructor order.
@@ -180,10 +183,11 @@ class BifilteredComplex:
 
     @cached_property
     def _pattern(self) -> _Pattern:
-        """The packed boundary pattern, cached outside the dataclass fields."""
+        """The packed bit rows and the column bitsets, cached outside the
+        dataclass fields; the bitsets come from the arrows, not the rows."""
         rows = _kernels.pack_bit_rows(len(self), np.stack((self.tgt, self.src), axis=1))
         rows.setflags(write=False)
-        return _Pattern(rows, _kernels.unpack_bit_rows(rows))
+        return _Pattern(rows, _kernels.column_bitsets(len(self), self.src, self.tgt))
 
     @cached_property
     def _targets(self) -> tuple[int, ...]:
@@ -291,22 +295,41 @@ def dual(complex_: BifilteredComplex) -> BifilteredComplex:
     )
 
 
-def tensor(left: BifilteredComplex, right: BifilteredComplex) -> BifilteredComplex:
+def tensor(*factors: BifilteredComplex) -> BifilteredComplex:
     """Tensor product over the polynomial ring, with the Leibniz differential.
 
-    Generator ``(i, j)`` has index ``i * len(right) + j``; a left arrow moves
-    ``i`` for every ``j``, and a right arrow ``j`` for every ``i``.
+    Generator ``(i_1, ..., i_k)`` has the mixed-radix index with the first
+    factor most significant, and id ``a*b*...``; an arrow of one factor
+    moves its own index for every choice of the others.  So ``tensor(a, b,
+    c)`` is ``tensor(tensor(a, b), c)``, the same ids, gradings and arrows,
+    in one construction and one check.  A lone factor is returned as it is.
     """
-    nl, nr = len(left), len(right)
-    j = np.arange(nr)
-    i = np.arange(0, nl * nr, nr)[:, None]  # i * nr, one row per left generator
+    if not factors:
+        raise TypeError("tensor needs at least one factor")
+    if len(factors) == 1:
+        return factors[0]
+    sizes = [len(f) for f in factors]
+    maslov, alexander = factors[0].maslov, factors[0].alexander
+    for f in factors[1:]:
+        maslov = np.add.outer(maslov, f.maslov).ravel()
+        alexander = np.add.outer(alexander, f.alexander).ravel()
+    src, tgt, exponent = [], [], []
+    for t, f in enumerate(factors):
+        stride = math.prod(sizes[t + 1 :])  # the place value of index i_t
+        # Every generator whose index i_t is 0: the other indices, in order.
+        base = np.add.outer(
+            np.arange(math.prod(sizes[:t])) * (sizes[t] * stride), np.arange(stride)
+        ).ravel()
+        src.append(np.add.outer(base, f.src * stride).ravel())
+        tgt.append(np.add.outer(base, f.tgt * stride).ravel())
+        exponent.append(np.tile(f.exponent, base.size))
     return BifilteredComplex(
-        ids=tuple(f"{a}*{b}" for a in left.ids for b in right.ids),
-        maslov=(left.maslov[:, None] + right.maslov).ravel(),
-        alexander=(left.alexander[:, None] + right.alexander).ravel(),
-        src=np.concatenate(((left.src[:, None] * nr + j).ravel(), (i + right.src).ravel())),
-        tgt=np.concatenate(((left.tgt[:, None] * nr + j).ravel(), (i + right.tgt).ravel())),
-        exponent=np.concatenate((left.exponent.repeat(nr), np.tile(right.exponent, nl))),
+        ids=tuple(map("*".join, itertools.product(*(f.ids for f in factors)))),
+        maslov=maslov,
+        alexander=alexander,
+        src=np.concatenate(src),
+        tgt=np.concatenate(tgt),
+        exponent=np.concatenate(exponent),
     )
 
 

@@ -41,14 +41,21 @@ one place, the list of a side's factor classes, which the router, the
 generator budget and the direct tensor path all read, so it applies
 inside any tensor product.  The direct path reads the profile off one F_2
 rank test per level (``cfk.vi_by_rank``).  ``vi_tensor_oracle``
-deliberately does neither — it builds one staircase per copy of each
+deliberately does neither — it tensors one staircase per copy of each
 term as written and runs graded Smith normal form at every level
 (``cfk.vi_sequence``).  The two are independent algorithms, and the
 oracle is the cross-check for every shortcut above.
+
+Both paths take their staircases and duals from one piece cache,
+``_piece``, an ``lru_cache`` keyed by ``(knot, mirrored)`` and bounded by
+``PIECE_CACHE_SIZE`` entries: complexes are immutable, so a piece is
+built and checked once and shared by every tensor that uses it.  Each
+tensor is one ``cfk.tensor`` call over all its pieces.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -69,6 +76,10 @@ from .semigroups import UNKNOT_SEMIGROUP, FormalSemigroup
 from .torus import representative
 
 DEFAULT_GENUS_CAP = 60
+
+#: Entries the piece cache ``_piece`` keeps, one staircase or dual per
+#: ``(knot, mirrored)``: a family over a few knots needs two per knot.
+PIECE_CACHE_SIZE = 64
 
 #: Hard ceiling on the number of generators the direct tensor path may
 #: allocate.  The genus cap alone does not bound the product of staircase
@@ -284,18 +295,28 @@ def generator_excess(expr: KnotExpression) -> str:
 
 
 def tensor_fold(pieces: list[BifilteredComplex]) -> BifilteredComplex:
-    """Tensor the pieces left to right, longest first; the unknot if none.
+    """The tensor of the pieces, longest first; the unknot if none.
 
-    The order is that of a sorted copy, so the caller's list is left as it
-    was.  ``tensor_fold([c] * n)`` is the ``n``-fold tensor power of ``c``.
+    One ``tensor`` call over all of them, which numbers the generators as
+    the left fold would.  The order is that of a stable sorted copy, so the
+    caller's list is left as it was.  ``tensor_fold([c] * n)`` is the
+    ``n``-fold tensor power of ``c``; a lone piece is returned as it is.
     """
     if not pieces:
         return staircase_from_semigroup(UNKNOT_SEMIGROUP)
-    ordered = sorted(pieces, key=len, reverse=True)
-    acc = ordered[0]
-    for nxt in ordered[1:]:
-        acc = tensor(acc, nxt)
-    return acc
+    return tensor(*sorted(pieces, key=len, reverse=True))
+
+
+@functools.lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _piece(knot: TorusKnot, mirrored: bool) -> BifilteredComplex:
+    """The staircase of ``knot``, or its dual when ``mirrored``, built once.
+
+    Every caller shares the cached complex, which is safe because a complex
+    is frozen and its arrays are read-only.
+    """
+    if mirrored:
+        return dual(_piece(knot, False))
+    return staircase_from_semigroup(_semigroup(knot))
 
 
 def _tensor_of(
@@ -307,8 +328,7 @@ def _tensor_of(
     pieces: list[BifilteredComplex] = []
     for classes, mirrored in ((positive, False), (negative, True)):
         for knot, copies in classes:
-            piece = staircase_from_semigroup(_semigroup(knot))
-            pieces += [dual(piece) if mirrored else piece] * copies
+            pieces += [_piece(knot, mirrored)] * copies
     return tensor_fold(pieces)
 
 

@@ -1,7 +1,8 @@
 """Tests for bifiltered complexes: staircases, tensors, homology."""
 
 import dataclasses
-from math import gcd
+import functools
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -279,6 +280,66 @@ def _bit_rows(c: BifilteredComplex) -> np.ndarray:
     return _kernels.pack_bit_rows(len(c), entries)
 
 
+def _graded_snf_numpy(rows: np.ndarray, grading: np.ndarray):
+    """NumPy reference for ``_kernels.graded_snf``: a doubly-minimal elimination.
+
+    ``rows`` is consumed (modified in place).  Returns three int64 arrays
+    (pivot_row, pivot_col, pivot_degree); the number of pivots is the rank.
+    """
+    n = int(grading.shape[0])
+    empty = np.zeros(0, dtype=np.int64)
+    if n == 0:
+        return empty, empty.copy(), empty.copy()
+    row_active = np.ones(n, dtype=bool)
+    col_active = np.ones(n, dtype=bool)
+    piv_i: list[int] = []
+    piv_j: list[int] = []
+    piv_d: list[int] = []
+
+    byte_view = rows.view(np.uint8)  # aliases rows; requires C-contiguity
+
+    def row_support(i: int) -> np.ndarray:
+        bits = np.unpackbits(byte_view[i], bitorder="little")[:n]
+        return np.nonzero(bits.astype(bool) & col_active)[0]
+
+    def col_rows(j: int) -> np.ndarray:
+        word, bit = j >> 6, np.uint64(1) << np.uint64(j & 63)
+        return np.nonzero(row_active & ((rows[:, word] & bit) != 0))[0]
+
+    for j_start in range(n):
+        while col_active[j_start]:
+            holders = col_rows(j_start)
+            if holders.size == 0:
+                break  # zero column: a kernel direction, never a pivot
+            i_cur = int(holders[np.argmin(grading[holders])])
+            j_cur = j_start
+            while True:
+                support = row_support(i_cur)
+                j_best = int(support[np.argmax(grading[support])])
+                if grading[j_best] > grading[j_cur]:
+                    j_cur = j_best
+                    continue
+                holders = col_rows(j_cur)
+                i_best = int(holders[np.argmin(grading[holders])])
+                if grading[i_best] < grading[i_cur]:
+                    i_cur = i_best
+                    continue
+                break
+            piv_i.append(i_cur)
+            piv_j.append(j_cur)
+            piv_d.append((int(grading[i_cur]) - int(grading[j_cur]) + 1) >> 1)
+            row_active[i_cur] = False
+            col_active[j_cur] = False
+            hit = col_rows(j_cur)
+            if hit.size:
+                rows[hit] ^= rows[i_cur]
+    return (
+        np.array(piv_i, dtype=np.int64),
+        np.array(piv_j, dtype=np.int64),
+        np.array(piv_d, dtype=np.int64),
+    )
+
+
 def _graded_invariants(result, grading: np.ndarray):
     """What the graded structure theorem fixes in pivot triples: the rank,
     the torsion ``(degree, row grading)`` pairs and the ``(row grading,
@@ -306,7 +367,7 @@ def _snf_all(c: BifilteredComplex, bits):
     for got, again in zip(fast, shared):
         assert got.dtype == again.dtype == np.int64
         assert got.tolist() == again.tolist()
-    ref = _kernels._graded_snf_numpy(rows, grading.copy())
+    ref = _graded_snf_numpy(rows, grading.copy())
     return _graded_invariants(fast, grading), _graded_invariants(ref, grading)
 
 
@@ -340,6 +401,7 @@ def test_backends_agree_on_homology_structure():
     for c in samples:
         bits = _kernels.unpack_bit_rows(_bit_rows(c))
         assert len(bits) == len(c)
+        assert _kernels.column_bitsets(len(c), c.src, c.tgt) == bits
         for sub in _every_level(c):
             assert _kernels.unpack_bit_rows(_bit_rows(sub)) == bits  # same pattern
             got, want = _snf_all(sub, bits)
@@ -347,7 +409,7 @@ def test_backends_agree_on_homology_structure():
     empty = np.zeros(0, dtype=np.int64)
     for res in (
         _kernels.graded_snf(_kernels.pack_bit_rows(0, []), empty),
-        _kernels._graded_snf_numpy(_kernels.pack_bit_rows(0, []), empty),
+        _graded_snf_numpy(_kernels.pack_bit_rows(0, []), empty),
     ):
         assert [x.tolist() for x in res] == [[], [], []]
 
@@ -434,7 +496,7 @@ def test_backends_agree_on_homogeneous_patterns(case):
     fast = _kernels.graded_snf(rows, grading)
     shared = _kernels.graded_snf(rows, grading, bits=_kernels.unpack_bit_rows(rows))
     assert [x.tolist() for x in fast] == [x.tolist() for x in shared]
-    ref = _kernels._graded_snf_numpy(rows.copy(), grading.copy())
+    ref = _graded_snf_numpy(rows.copy(), grading.copy())
     assert _graded_invariants(fast, grading) == _graded_invariants(ref, grading) == expected
 
 
@@ -620,6 +682,44 @@ def test_tensor_arrows_are_canonical_on_small_tensors(c):
     _assert_tensor_is_canonical(c)
 
 
+@st.composite
+def _tensor_factors(draw):
+    """One to four random staircases and duals, of at most 400 generators
+    together."""
+    factors: list[BifilteredComplex] = []
+    for _ in range(draw(st.integers(1, 4))):
+        steps = draw(st.sets(st.integers(1, 6), max_size=3))
+        exponents = sorted(steps, reverse=True) + [0] + [-x for x in sorted(steps)]
+        piece = staircase(exponents)
+        piece = dual(piece) if draw(st.booleans()) else piece
+        if factors and prod(map(len, factors)) * len(piece) > 400:
+            break
+        factors.append(piece)
+    return factors
+
+
+@given(_tensor_factors())
+@settings(max_examples=80, deadline=None)
+def test_tensor_of_many_factors_is_the_left_fold(factors):
+    """``tensor(*fs)`` has the ids, gradings and arrows of the left fold of
+    two-factor tensors, and one arrow per factor arrow and choice of the
+    other factors' generators."""
+    c = tensor(*factors)
+    folded = functools.reduce(tensor, factors)
+    assert c == folded
+    assert c.dump() == folded.dump()
+    sizes = [len(f) for f in factors]
+    assert len(c) == prod(sizes)
+    assert len(c.src) == sum(len(f.src) * prod(sizes) // len(f) for f in factors)
+
+
+def test_tensor_of_one_factor_is_that_factor():
+    c = torus_staircase(3, 4)
+    assert tensor(c) is c
+    with pytest.raises(TypeError):
+        tensor()
+
+
 def test_packed_pattern_leaves_equality_and_hash_alone():
     def build():
         return tensor(torus_staircase(2, 3), dual(torus_staircase(3, 4)))
@@ -631,7 +731,7 @@ def test_packed_pattern_leaves_equality_and_hash_alone():
     assert c == build() and hash(c) == hash(build())
     vi_sequence(c)
     assert c._pattern.rows is rows  # packed once, then reused
-    assert c._pattern.bits is bits  # unpacked once, then reused
+    assert c._pattern.bits is bits  # built once, then reused
     # The column bitsets alone: bit tgt of column src set per arrow.
     assert isinstance(bits, tuple) and len(bits) == len(c)
     assert all(type(b) is int for b in bits)
@@ -643,12 +743,17 @@ def test_packed_pattern_leaves_equality_and_hash_alone():
         rows[0, 0] = 1
 
 
-def test_level_sweep_unpacks_bitsets_once(monkeypatch):
-    """Levels 0 to max(A) of the 405-generator oracle complex share one unpack."""
+def test_level_sweep_builds_bitsets_once(monkeypatch):
+    """Levels 0 to max(A) of the 405-generator oracle complex share one
+    bitset build, straight from the arrows, and every elimination gets it."""
     c = _sample_complexes()[-1]
     levels = range(max(c.alexander) + 1)
     assert (len(c), len(levels)) == (405, 24)
-    unpacks, eliminations = [], []
+    builds, unpacks, eliminations = [], [], []
+
+    def counted_build(n, src, tgt):
+        builds.append(n)
+        return column_bitsets(n, src, tgt)
 
     def counted_unpack(rows):
         unpacks.append(rows.shape)
@@ -658,16 +763,21 @@ def test_level_sweep_unpacks_bitsets_once(monkeypatch):
         eliminations.append(kwargs.get("bits") is not None)
         return graded_snf(*args, **kwargs)
 
-    unpack_bit_rows, graded_snf = _kernels.unpack_bit_rows, _kernels.graded_snf
+    column_bitsets, unpack_bit_rows = _kernels.column_bitsets, _kernels.unpack_bit_rows
+    graded_snf = _kernels.graded_snf
+    monkeypatch.setattr(_kernels, "column_bitsets", counted_build)
     monkeypatch.setattr(_kernels, "unpack_bit_rows", counted_unpack)
     monkeypatch.setattr(_kernels, "graded_snf", counted_snf)
     for s in levels:
         assert homology_over_polynomial_ring(c, s).free_rank == 1
     monkeypatch.undo()
-    assert unpacks == [(405, 7)]
+    assert builds == [405]
+    assert unpacks == []
     assert eliminations == [True] * 24
-    # The shared bitsets change nothing: the same triples as an unpack per level.
+    # The shared bitsets change nothing: they are those of the packed rows,
+    # and give the same triples as an unpack per level.
     rows, bits = c._pattern
+    assert bits == _kernels.unpack_bit_rows(rows)
     for s in levels:
         grading = c.maslov - 2 * np.maximum(c.alexander - s, 0)
         shared = _kernels.graded_snf(rows, grading, bits=bits)

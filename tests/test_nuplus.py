@@ -339,17 +339,55 @@ def test_oracle_builds_one_staircase_per_copy(monkeypatch):
 
 
 def test_tensor_complex_builds_one_staircase_per_class(monkeypatch):
-    """Copies of a class share one staircase: ``3*T(2,5) - T(3,4)`` builds
-    two, not four."""
+    """Copies of a class share one staircase: from an empty piece cache,
+    ``3*T(2,5) - T(3,4)`` builds two, not four, and a second build none."""
     built = []
 
     def counted(exponents):
         built.append(tuple(exponents))
         return staircase(exponents)
 
+    gamma4.nuplus._piece.cache_clear()
     monkeypatch.setattr(gamma4.cfk, "staircase", counted)
-    assert len(tensor_complex(parse("3*T(2,5) - T(3,4)"))) == 5**3 * 5
+    expr = parse("3*T(2,5) - T(3,4)")
+    assert len(tensor_complex(expr)) == 5**3 * 5
     assert len(built) == 2
+    assert tensor_complex(expr) == tensor_complex(parse("T(2,5) + T(2,5) + T(2,5) - T(3,4)"))
+    assert len(built) == 2
+
+
+def test_pieces_are_cached_and_read_only():
+    """``_piece`` hands every caller the same complex, bounded by
+    ``PIECE_CACHE_SIZE``; the complex cannot be changed through its arrays."""
+    assert gamma4.nuplus._piece.cache_info().maxsize == gamma4.nuplus.PIECE_CACHE_SIZE
+    for knot in ONE_SIDED_KNOTS[:4]:
+        for mirrored in (False, True):
+            piece = gamma4.nuplus._piece(knot, mirrored)
+            assert gamma4.nuplus._piece(knot, mirrored) is piece
+            assert piece.ids[0] == ("y1*" if mirrored else "y1")
+            sides = ([], [(knot, 1)]) if mirrored else ([(knot, 1)], [])
+            assert gamma4.nuplus._tensor_of(*sides) is piece  # a lone piece, shared
+            for name in ("maslov", "alexander", "src", "tgt", "exponent"):
+                array = getattr(piece, name)
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = array[0]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tensor_fold_makes_one_construction(monkeypatch, k):
+    """A fold of ``k`` pieces builds and checks one complex, not ``k - 1``."""
+    pieces = [gamma4.nuplus._piece(knot, k % 2 == 1) for knot in ONE_SIDED_KNOTS[:k]]
+    built = []
+    post_init = gamma4.cfk.BifilteredComplex.__post_init__
+
+    def counted(self):
+        built.append(len(self.ids))
+        post_init(self)
+
+    monkeypatch.setattr(gamma4.cfk.BifilteredComplex, "__post_init__", counted)
+    folded = tensor_fold(pieces)
+    assert built == [len(folded)] == [int(np.prod([len(p) for p in pieces]))]
 
 
 def test_mixed_multifactor_closed_form_fails():
