@@ -18,7 +18,9 @@ uint64 bit rows, and ``unpack_bit_rows`` turns those into the Python-int
 column bitsets that ``graded_snf`` reduces; ``column_bitsets`` builds the
 same bitsets straight from a differential's arrows.  A caller that runs one
 pattern under many gradings builds them once and passes them as
-``graded_snf(..., bits=...)``.
+``graded_snf(..., bits=...)``, and may pass each grading's grade classes,
+built from generators it keeps grouped by grading, as ``classes=...``, so
+that ``graded_snf`` sorts nothing.
 
 The central kernel diagonalizes differentials over the one-variable
 polynomial ring with mod-2 coefficients.  Because the differential is
@@ -166,11 +168,27 @@ def _first_extreme(bits: int, classes) -> int:
     )
 
 
+def _grade_classes(g: np.ndarray) -> list[tuple[int, list[int], int]]:
+    """The grade classes of ``g``, by descending grading: each grading, the
+    indices that carry it in increasing order, and their mask."""
+    order = np.argsort(-g, kind="stable")
+    negated, starts = np.unique(-g[order], return_index=True)
+    classes = []
+    for value, members in zip((-negated).tolist(), np.split(order, starts[1:])):
+        members = members.tolist()
+        mask = 0
+        for k in members:
+            mask |= 1 << k
+        classes.append((value, members, mask))
+    return classes
+
+
 def graded_snf(
     rows: np.ndarray,
     grading: np.ndarray,
     *,
     bits: tuple[int, ...] | None = None,
+    classes: list[tuple[int, list[int], int]] | None = None,
 ):
     """Diagonalize a graded mod-2 differential; returns pivot data.
 
@@ -179,8 +197,13 @@ def graded_snf(
     are the column bitsets of that pattern, ``unpack_bit_rows(rows)`` or the
     same bitsets from ``column_bitsets``, passed by callers that reduce one
     pattern under many gradings; when ``bits`` is given ``rows`` is not
-    read, and without it ``rows`` is unpacked here.  Returns int64 arrays
-    ``(pivot_row, pivot_col, pivot_degree)``.
+    read, and without it ``rows`` is unpacked here.  ``classes`` are the
+    grade classes of ``grading``, by descending grading: each a triple of
+    the grading, the indices that carry it in increasing order, and the
+    mask of those indices.  A caller that holds its generators grouped by
+    grading builds them without a sort; without ``classes`` they are built
+    here from ``grading``, and given, they must be exactly those.  Returns
+    int64 arrays ``(pivot_row, pivot_col, pivot_degree)``.
 
     Column reduction with clearing: columns are taken by descending grading,
     ties by index.  A column's pivot is its row of least grading, lowest
@@ -212,22 +235,15 @@ def graded_snf(
         return empty, empty.copy(), empty.copy()
     g = np.asarray(grading, dtype=np.int64)
     col_bits = unpack_bit_rows(rows[:n]) if bits is None else bits
-    # Columns by descending grading, ties by index, cut into grading classes.
-    order = np.argsort(-g, kind="stable")
-    negated, starts = np.unique(-g[order], return_index=True)
-    classes = [members.tolist() for members in np.split(order, starts[1:])]
-    values = (-negated[::-1]).tolist()
-    ascending = []  # one row mask per grading, ascending
-    for members in reversed(classes):
-        mask = 0
-        for k in members:
-            mask |= 1 << k
-        ascending.append(mask)
+    if classes is None:
+        classes = _grade_classes(g)
+    values = [value for value, _, _ in reversed(classes)]  # ascending
+    ascending = [mask for _, _, mask in reversed(classes)]  # one row mask per grading
 
     reduced = [0] * n  # pivot row -> its reduced column; 0 for no pivot
     piv_i: list[int] = []
     piv_j: list[int] = []
-    for value, members in zip(reversed(values), classes):
+    for value, members, _ in classes:
         # The grade window: a column of grading g holds rows of grading >= g - 1.
         window = ascending[bisect_left(values, value - 1) :]
         for j in members:

@@ -22,8 +22,9 @@ sums.  Homology over the polynomial ring is exact Smith normal form:
 because arrows are Maslov-homogeneous, every matrix entry is a forced
 monomial, and the reduction is a column reduction with clearing on bitsets
 (see ``_kernels``).  Clearing needs ``d^2 = 0``, which every construction
-checks.  Each complex packs its bit rows, and builds its Python-int column
-bitsets straight from its arrows, once, on first use.
+checks.  Each complex packs its bit rows, builds its Python-int column
+bitsets straight from its arrows, and groups its generators by their two
+gradings, each once, on first use.
 
 The torsion invariants ``V_s`` drop out of the homology of the subcomplexes
 at each filtration level, making this module the independent oracle for all
@@ -32,7 +33,13 @@ arrow exponents but never changes which generators an arrow joins, and it
 preserves all three invariants.  So level homology is read off the parent's
 packed pattern and its bitsets with shifted gradings, with no subcomplex
 built or checked and no bitsets built again; ``subcomplex_at_level``
-builds that subcomplex explicitly, validated, as the reference.
+builds that subcomplex explicitly, validated, as the reference.  A level
+shifts the grading of every generator of a ``(maslov, alexander)`` group
+alike, so its grade classes, the generators of each grading in index
+order with their row mask, are merged from the groups with no sort of the
+generators, and the elimination and the tower locator both read them: the
+locator takes the graded dimensions from the class sizes, in one scan
+down from the top grading.
 
 Two independent algorithms give the profile ``V_0, V_1, ...``.
 ``vi_sequence`` reduces each level completely and locates its tower;
@@ -51,6 +58,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -188,6 +196,16 @@ class BifilteredComplex:
         rows = _kernels.pack_bit_rows(len(self), np.stack((self.tgt, self.src), axis=1))
         rows.setflags(write=False)
         return _Pattern(rows, _kernels.column_bitsets(len(self), self.src, self.tgt))
+
+    @cached_property
+    def _groups(self) -> tuple[tuple[int, int, list[int], int], ...]:
+        """The generators grouped by ``(maslov, alexander)``: each group's
+        two gradings, its members in index order and their row mask.  A
+        level shifts the grading of every member of a group alike."""
+        members: dict[tuple[int, int], list[int]] = {}
+        for k, key in enumerate(zip(self.maslov.tolist(), self.alexander.tolist())):
+            members.setdefault(key, []).append(k)
+        return tuple((m, a, ks, sum(1 << k for k in ks)) for (m, a), ks in members.items())
 
     @cached_property
     def _targets(self) -> tuple[int, ...]:
@@ -372,36 +390,67 @@ class HomologySummary:
         return self.free_rank == 0 and not self.torsion
 
 
-def _tower_grading(grading: np.ndarray, pivot_src_m: np.ndarray, torsion) -> int:
+def _level_classes(
+    complex_: BifilteredComplex, level: int | None
+) -> list[tuple[int, list[int], int]]:
+    """The grade classes of ``complex_`` at ``level``, from its groups, in
+    the form ``_kernels.graded_snf`` takes: by descending grading, each the
+    grading ``M(x) - 2 max(0, A(x) - level)``, its generators in index
+    order and their row mask.  ``level=None`` keeps the gradings ``M``."""
+    top = math.inf if level is None else level
+    parts: dict[int, list] = {}  # grading -> [mask, members of each group]
+    for m, a, members, mask in complex_._groups:
+        if a > top:
+            m -= 2 * (a - top)
+        part = parts.get(m)
+        if part is None:
+            parts[m] = [mask, members]
+        else:
+            part[0] |= mask
+            part.append(members)
+    classes = []
+    for value in sorted(parts, reverse=True):
+        part = parts[value]
+        members = part[1]
+        if len(part) > 2:  # several groups: merge their members in index order
+            members = []
+            for ks in part[1:]:
+                members += ks
+            members.sort()
+        classes.append((value, members, part[0]))
+    return classes
+
+
+def _tower_grading(
+    classes: list[tuple[int, list[int], int]], pivot_col_gradings: list[int], torsion
+) -> int:
     """Top grading of the single free summand, by graded dimension count.
 
     In each Maslov grading m the chain space has one dimension per generator
-    with the same parity sitting at or above m; the boundary rank in and out
-    of the grading is read off the pivot source gradings; torsion summands
-    account for finitely many leftover dimensions.  The free summand tops out
-    at the largest grading where a dimension survives beyond the torsion.
+    with the same parity sitting at or above m, counted from the sizes of
+    the grade ``classes`` (by descending grading); the boundary rank in and
+    out of the grading is read off the pivot column gradings; torsion
+    summands account for finitely many leftover dimensions.  One scan runs
+    down from the top grading, keeping the three counts per parity, and
+    stops at the first grading where a dimension survives beyond the
+    torsion: there the free summand tops out.
     """
-    degrees = np.array([d for d, _ in torsion], dtype=np.int64)
-    tops = np.array([m for _, m in torsion], dtype=np.int64)
-    floor = int(grading.min()) - 2 * (int(degrees.max(initial=0)) + 2)
-    span = int(grading.max()) - floor + 2  # gradings floor .. max + 1
-
-    def at_least(values: np.ndarray) -> np.ndarray:
-        """Per grading ``floor + i``: the values at or above it of its parity."""
-        counts = np.bincount(values - floor, minlength=span)
-        for parity in (0, 1):
-            counts[parity::2] = counts[parity::2][::-1].cumsum()[::-1]
-        return counts
-
-    pivots = at_least(pivot_src_m)
-    alive = (
-        at_least(grading) - pivots - np.append(pivots[1:], 0)
-        - at_least(tops) + at_least(tops - 2 * degrees)
-    )
-    found = np.flatnonzero(alive[:-1] >= 1)
-    if not found.size:
-        raise AssertionError("free summand not located; this is a bug")
-    return floor + int(found[-1])
+    sizes = {value: len(members) for value, members, _ in classes}
+    pivots = Counter(pivot_col_gradings)
+    # A torsion summand counts +1 from its top down to ``top - 2d``, the
+    # first grading of its parity below it, where it counts -1.
+    spans = Counter(m for _, m in torsion)
+    spans.subtract(m - 2 * d for d, m in torsion)
+    floor = classes[-1][0] - 2 * (max((d for d, _ in torsion), default=0) + 2)
+    chains, boundaries, leftover = [0, 0], [0, 0], [0, 0]
+    for m in range(classes[0][0], floor - 1, -1):
+        parity = m & 1
+        chains[parity] += sizes.get(m, 0)
+        boundaries[parity] += pivots.get(m, 0)
+        leftover[parity] += spans.get(m, 0)
+        if chains[parity] - boundaries[parity] - boundaries[1 - parity] - leftover[parity] >= 1:
+            return m
+    raise AssertionError("free summand not located; this is a bug")
 
 
 def homology_over_polynomial_ring(
@@ -413,7 +462,9 @@ def homology_over_polynomial_ring(
     s)``, read off the packed pattern of ``complex_`` with the gradings
     ``M(x) - 2 max(0, A(x) - s)``.  The shifted exponents
     ``e + shift(src) - shift(tgt)`` are checked to be non-negative;
-    ``ValueError`` otherwise.
+    ``ValueError`` otherwise.  The level's grade classes come from the
+    grading groups of ``complex_``; ``graded_snf`` reduces by them, and the
+    tower is read off their sizes.
     """
     n = len(complex_)
     if n == 0:
@@ -425,13 +476,18 @@ def homology_over_polynomial_ring(
         if (complex_.exponent + shift[complex_.src] < shift[complex_.tgt]).any():
             raise ValueError(f"negative arrow exponent at filtration level {level}")
         grading = grading - 2 * shift
+    classes = _level_classes(complex_, level)
     piv_row, piv_col, piv_deg = _kernels.graded_snf(
-        pattern.rows, grading, bits=pattern.bits
+        pattern.rows, grading, bits=pattern.bits, classes=classes
     )
     free_rank = n - 2 * len(piv_row)
     kept = piv_deg >= 1
     torsion = tuple(sorted(zip(piv_deg[kept].tolist(), grading[piv_row[kept]].tolist())))
-    tower = _tower_grading(grading, grading[piv_col], torsion) if free_rank == 1 else None
+    tower = (
+        _tower_grading(classes, grading[piv_col].tolist(), torsion)
+        if free_rank == 1
+        else None
+    )
     return HomologySummary(free_rank=free_rank, tower_grading=tower, torsion=torsion)
 
 
@@ -454,8 +510,10 @@ def v_invariant(complex_: BifilteredComplex, s: int) -> int:
 def vi_sequence(complex_: BifilteredComplex) -> tuple[int, ...]:
     """V_0, V_1, ... up to and including the first zero.
 
-    Every level reads the same packed pattern of ``complex_``, built on the
-    first level; the complex's invariants were checked when it was built.
+    Every level reads the same packed pattern, bitsets and grading groups
+    of ``complex_``, built on the first level, and builds only its own
+    grade classes from the groups; the complex's invariants were checked
+    when it was built.
     """
     out = []
     bound = max(complex_.alexander.tolist(), default=0) + 1

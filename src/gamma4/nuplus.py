@@ -50,7 +50,13 @@ Both paths take their staircases and duals from one piece cache,
 ``_piece``, an ``lru_cache`` keyed by ``(knot, mirrored)`` and bounded by
 ``PIECE_CACHE_SIZE`` entries: complexes are immutable, so a piece is
 built and checked once and shared by every tensor that uses it.  Each
-tensor is one ``cfk.tensor`` call over all its pieces.
+tensor is one ``cfk.tensor`` call over all its pieces, keyed by its piece
+keys in the order the tensor takes them, and the last one is held: when
+no class collapses, the routed path and the oracle ask for the same
+tensor of the same expression, and the second request builds nothing.
+They share the complex only, never its homology.  Only one complex is
+held, so no earlier tensor stays in memory and a repeated sweep builds
+its tensors again.
 """
 
 from __future__ import annotations
@@ -319,17 +325,36 @@ def _piece(knot: TorusKnot, mirrored: bool) -> BifilteredComplex:
     return staircase_from_semigroup(_semigroup(knot))
 
 
+@functools.lru_cache(maxsize=1)
+def _tensor_of_pieces(keys: tuple[tuple[TorusKnot, bool], ...]) -> BifilteredComplex:
+    """The tensor of the pieces ``_piece(*key)``, in the order of ``keys``.
+
+    Only the last complex is kept, so the routed path and the oracle share
+    one construction when they ask for the same tensor in a row, and no
+    earlier tensor is held.
+    """
+    return tensor_fold([_piece(*key) for key in keys])
+
+
 def _tensor_of(
     positive: Iterable[tuple[TorusKnot, int]],
     negative: Iterable[tuple[TorusKnot, int]],
 ) -> BifilteredComplex:
     """One staircase per positive class and one dual per negative class,
-    each repeated ``copies`` times, tensored by ``tensor_fold``."""
-    pieces: list[BifilteredComplex] = []
-    for classes, mirrored in ((positive, False), (negative, True)):
-        for knot, copies in classes:
-            pieces += [_piece(knot, mirrored)] * copies
-    return tensor_fold(pieces)
+    each repeated ``copies`` times, tensored by ``tensor_fold``.
+
+    The tensor is keyed by its piece keys ``(knot, mirrored)`` sorted as
+    ``tensor_fold`` sorts the pieces, longest first and stable, so a key
+    fixes the generator numbering of the complex it names.
+    """
+    keys = [
+        (knot, mirrored)
+        for classes, mirrored in ((positive, False), (negative, True))
+        for knot, copies in classes
+        for _ in range(copies)
+    ]
+    keys.sort(key=lambda key: len(_piece(*key)), reverse=True)
+    return _tensor_of_pieces(tuple(keys))
 
 
 def tensor_complex(expr: KnotExpression) -> BifilteredComplex:

@@ -15,7 +15,9 @@ from gamma4.cfk import (
     HomologySummary,
     MalformedExponentsError,
     NotSingleTowerError,
+    _level_classes,
     _rank_test,
+    _tower_grading,
     dual,
     homology_over_polynomial_ring,
     staircase,
@@ -353,6 +355,39 @@ def _graded_invariants(result, grading: np.ndarray):
     )
 
 
+def _tower_grading_numpy(grading: np.ndarray, pivot_src_m: np.ndarray, torsion) -> int:
+    """NumPy reference for ``cfk._tower_grading``: top grading of the single
+    free summand, by graded dimension count over every grading at once.
+
+    In each Maslov grading m the chain space has one dimension per generator
+    with the same parity sitting at or above m; the boundary rank in and out
+    of the grading is read off the pivot source gradings; torsion summands
+    account for finitely many leftover dimensions.  The free summand tops out
+    at the largest grading where a dimension survives beyond the torsion.
+    """
+    degrees = np.array([d for d, _ in torsion], dtype=np.int64)
+    tops = np.array([m for _, m in torsion], dtype=np.int64)
+    floor = int(grading.min()) - 2 * (int(degrees.max(initial=0)) + 2)
+    span = int(grading.max()) - floor + 2  # gradings floor .. max + 1
+
+    def at_least(values: np.ndarray) -> np.ndarray:
+        """Per grading ``floor + i``: the values at or above it of its parity."""
+        counts = np.bincount(values - floor, minlength=span)
+        for parity in (0, 1):
+            counts[parity::2] = counts[parity::2][::-1].cumsum()[::-1]
+        return counts
+
+    pivots = at_least(pivot_src_m)
+    alive = (
+        at_least(grading) - pivots - np.append(pivots[1:], 0)
+        - at_least(tops) + at_least(tops - 2 * degrees)
+    )
+    found = np.flatnonzero(alive[:-1] >= 1)
+    if not found.size:
+        raise AssertionError("free summand not located; this is a bug")
+    return floor + int(found[-1])
+
+
 def _snf_all(c: BifilteredComplex, bits):
     """Graded invariants on ``c`` of ``graded_snf``, which must return the
     same int64 triples without and with ``bits``, and of the NumPy
@@ -430,6 +465,52 @@ def test_backends_agree_on_homology_structure_at_scale():
     for sub in levels:
         got, want = _snf_all(sub, bits)
         assert got == want
+
+
+def _level_gradings(c: BifilteredComplex):
+    """Every level from ``min(A) - 1`` to ``max(A) + 1``, and ``None``, with
+    its gradings ``M(x) - 2 max(0, A(x) - s)``."""
+    yield None, c.maslov
+    for s in range(min(c.alexander) - 1, max(c.alexander) + 2):
+        yield s, c.maslov - 2 * np.maximum(c.alexander - s, 0)
+
+
+def test_classes_from_groups_give_identical_triples():
+    """On every level of the samples, the 405-generator complex among them,
+    the grade classes built from the complex's groups give ``graded_snf``
+    exactly the int64 triples it finds with no bitsets and no classes."""
+    samples = _sample_complexes()
+    assert max(len(c) for c in samples) == 405
+    for c in samples:
+        rows, bits = c._pattern
+        for s, grading in _level_gradings(c):
+            classes = _level_classes(c, s)
+            assert [value for value, _, _ in classes] == sorted(set(grading.tolist()), reverse=True)
+            alone = _kernels.graded_snf(rows, grading)
+            grouped = _kernels.graded_snf(rows, grading, bits=bits, classes=classes)
+            for got, want in zip(grouped, alone):
+                assert got.dtype == want.dtype == np.int64
+                assert got.tolist() == want.tolist(), s
+
+
+def _assert_tower_matches_reference(c: BifilteredComplex) -> None:
+    """At every level the tower read off the class sizes is that of the
+    NumPy reference, which counts graded dimensions over every grading."""
+    rows, bits = c._pattern
+    for s, grading in _level_gradings(c):
+        classes = _level_classes(c, s)
+        piv_row, piv_col, piv_deg = _kernels.graded_snf(rows, grading, bits=bits, classes=classes)
+        assert len(c) - 2 * len(piv_row) == 1
+        kept = piv_deg >= 1
+        torsion = tuple(sorted(zip(piv_deg[kept].tolist(), grading[piv_row[kept]].tolist())))
+        tower = _tower_grading(classes, grading[piv_col].tolist(), torsion)
+        assert tower == _tower_grading_numpy(grading, grading[piv_col], torsion), s
+        assert homology_over_polynomial_ring(c, s).tower_grading == tower
+
+
+def test_tower_locator_matches_numpy_reference():
+    for c in _sample_complexes():
+        _assert_tower_matches_reference(c)
 
 
 def _mod2_inverse_unitriangular(b: np.ndarray) -> np.ndarray:
@@ -713,6 +794,12 @@ def test_tensor_of_many_factors_is_the_left_fold(factors):
     assert len(c.src) == sum(len(f.src) * prod(sizes) // len(f) for f in factors)
 
 
+@given(_tensor_factors())
+@settings(max_examples=60, deadline=None)
+def test_tower_locator_matches_numpy_reference_on_tensors(factors):
+    _assert_tower_matches_reference(tensor(*factors))
+
+
 def test_tensor_of_one_factor_is_that_factor():
     c = torus_staircase(3, 4)
     assert tensor(c) is c
@@ -726,12 +813,13 @@ def test_packed_pattern_leaves_equality_and_hash_alone():
 
     c = build()
     vi_sequence(c)
-    assert "_pattern" in vars(c)  # packed by the first level
-    rows, bits = c._pattern.rows, c._pattern.bits
+    assert "_pattern" in vars(c) and "_groups" in vars(c)  # built by the first level
+    rows, bits, groups = c._pattern.rows, c._pattern.bits, c._groups
     assert c == build() and hash(c) == hash(build())
     vi_sequence(c)
     assert c._pattern.rows is rows  # packed once, then reused
     assert c._pattern.bits is bits  # built once, then reused
+    assert c._groups is groups  # grouped once, then reused
     # The column bitsets alone: bit tgt of column src set per arrow.
     assert isinstance(bits, tuple) and len(bits) == len(c)
     assert all(type(b) is int for b in bits)
@@ -745,11 +833,22 @@ def test_packed_pattern_leaves_equality_and_hash_alone():
 
 def test_level_sweep_builds_bitsets_once(monkeypatch):
     """Levels 0 to max(A) of the 405-generator oracle complex share one
-    bitset build, straight from the arrows, and every elimination gets it."""
+    bitset build, straight from the arrows, and one grouping of the
+    generators by grading, and every elimination gets the bitsets and the
+    level's classes."""
     c = _sample_complexes()[-1]
     levels = range(max(c.alexander) + 1)
     assert (len(c), len(levels)) == (405, 24)
-    builds, unpacks, eliminations = [], [], []
+    builds, unpacks, eliminations, groupings = [], [], [], []
+    group = BifilteredComplex.__dict__["_groups"].func
+
+    def counted_group(self):
+        groupings.append(len(self))
+        return group(self)
+
+    counted_groups = functools.cached_property(counted_group)
+    counted_groups.__set_name__(BifilteredComplex, "_groups")
+    monkeypatch.setattr(BifilteredComplex, "_groups", counted_groups)
 
     def counted_build(n, src, tgt):
         builds.append(n)
@@ -760,7 +859,7 @@ def test_level_sweep_builds_bitsets_once(monkeypatch):
         return unpack_bit_rows(rows)
 
     def counted_snf(*args, **kwargs):
-        eliminations.append(kwargs.get("bits") is not None)
+        eliminations.append((kwargs.get("bits") is not None, kwargs.get("classes") is not None))
         return graded_snf(*args, **kwargs)
 
     column_bitsets, unpack_bit_rows = _kernels.column_bitsets, _kernels.unpack_bit_rows
@@ -770,10 +869,13 @@ def test_level_sweep_builds_bitsets_once(monkeypatch):
     monkeypatch.setattr(_kernels, "graded_snf", counted_snf)
     for s in levels:
         assert homology_over_polynomial_ring(c, s).free_rank == 1
+    groups = c._groups
     monkeypatch.undo()
     assert builds == [405]
     assert unpacks == []
-    assert eliminations == [True] * 24
+    assert groupings == [405]
+    assert eliminations == [(True, True)] * 24
+    assert sorted(k for _, _, members, _ in groups for k in members) == list(range(405))
     # The shared bitsets change nothing: they are those of the packed rows,
     # and give the same triples as an unpack per level.
     rows, bits = c._pattern

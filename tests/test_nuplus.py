@@ -348,6 +348,7 @@ def test_tensor_complex_builds_one_staircase_per_class(monkeypatch):
         return staircase(exponents)
 
     gamma4.nuplus._piece.cache_clear()
+    gamma4.nuplus._tensor_of_pieces.cache_clear()
     monkeypatch.setattr(gamma4.cfk, "staircase", counted)
     expr = parse("3*T(2,5) - T(3,4)")
     assert len(tensor_complex(expr)) == 5**3 * 5
@@ -388,6 +389,61 @@ def test_tensor_fold_makes_one_construction(monkeypatch, k):
     monkeypatch.setattr(gamma4.cfk.BifilteredComplex, "__post_init__", counted)
     folded = tensor_fold(pieces)
     assert built == [len(folded)] == [int(np.prod([len(p) for p in pieces]))]
+
+
+def _count_constructions(monkeypatch) -> list[int]:
+    """The sizes of the complexes built and checked from now on."""
+    built: list[int] = []
+    post_init = gamma4.cfk.BifilteredComplex.__post_init__
+
+    def counted(self):
+        built.append(len(self.ids))
+        post_init(self)
+
+    monkeypatch.setattr(gamma4.cfk.BifilteredComplex, "__post_init__", counted)
+    return built
+
+
+def test_routed_path_and_oracle_share_one_construction(monkeypatch):
+    """``vi_expr`` then ``vi_tensor_oracle`` on an expression whose classes
+    do not collapse tensor the same pieces in the same order: one tensor is
+    built and checked for both, and each path runs its own algorithm on it."""
+    expr = parse("T(2,3) + T(3,4) - T(2,5)")
+    assert route(expr).kind == "complex"
+    vi_tensor_oracle(expr)  # fills the piece cache
+    gamma4.nuplus._tensor_of_pieces.cache_clear()
+    built = _count_constructions(monkeypatch)
+    assert vi_expr(expr) == vi_tensor_oracle(expr) == (1, 1, 0)
+    assert built == [75]
+
+
+def test_collapsed_class_makes_a_second_construction(monkeypatch):
+    """``2*T(2,3)`` is one ``T(2,5)`` staircase in the routed complex and
+    two trefoils in the oracle: two different tensors, two constructions."""
+    expr = parse("2*T(2,3) - T(2,5)")
+    vi_tensor_oracle(expr)
+    tensor_complex(expr)  # fills the piece cache
+    gamma4.nuplus._tensor_of_pieces.cache_clear()
+    built = _count_constructions(monkeypatch)
+    assert len(tensor_complex(expr)) == 25
+    vi_tensor_oracle(expr)
+    assert built == [25, 45]
+
+
+def test_tensor_cache_holds_one_complex(monkeypatch):
+    """Only the last tensor is kept: after another expression, the first
+    one is built again, equal to before but a new complex."""
+    assert gamma4.nuplus._tensor_of_pieces.cache_info().maxsize == 1
+    first, other = parse("T(2,3) + T(3,4) - T(2,5)"), parse("T(2,5) + T(3,4) - T(2,3)")
+    tensor_complex(first), tensor_complex(other)  # fill the piece cache
+    built = _count_constructions(monkeypatch)
+    before = tensor_complex(first)
+    assert tensor_complex(first) is before
+    tensor_complex(other)
+    again = tensor_complex(first)
+    assert built == [75, 75, 75]
+    assert again is not before and again == before
+    assert gamma4.nuplus._tensor_of_pieces.cache_info().currsize == 1
 
 
 def test_mixed_multifactor_closed_form_fails():

@@ -1,19 +1,19 @@
 """Tests for Alexander polynomials, torsion sequences, and signatures."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamma4.expressions import KnotExpression, TorusKnot, parse
+from gamma4.expressions import KnotExpression, TorusKnot, parse, torus_knot
 from gamma4.semigroups import FormalSemigroup
 from gamma4.torus import (
     alexander,
     representative,
     signature,
     signature_expr,
-    signature_seifert,
     torsion_coefficients,
     vi_lspace,
 )
@@ -73,6 +73,84 @@ def test_vi_shape_and_semigroup_agreement(ab):
     assert min(i for i, v in enumerate(seq) if v == 0) == g
     # Independent derivation: gap counting in the semigroup.
     assert seq == FormalSemigroup.from_generators(p, q).vi
+
+
+# Cross-column entries of the symmetrized fence Seifert form.  The two signs
+# are pinned by calibration against anchored signature values; flipping both
+# together is a change of basis, so only their relative sign matters.
+_CROSS_SAME = 1
+_CROSS_PREV = -1
+
+
+def _fence_form(p: int, q: int) -> list[list[int]]:
+    """Symmetrized Seifert matrix V + V^T of the fence surface of T(p, q).
+
+    Basis loops x[i][j] run through consecutive bands j, j+1 of braid column
+    i (0-indexed: i < p-1, j < q-1).  Each loop has self-pairing -2, pairs
+    with its vertical neighbors in the same column, and with the loops of the
+    adjacent column whose band interval interleaves its own.
+    """
+    n = (p - 1) * (q - 1)
+
+    def idx(i: int, j: int) -> int:
+        return i * (q - 1) + j
+
+    form = [[0] * n for _ in range(n)]
+    for i in range(p - 1):
+        for j in range(q - 1):
+            a = idx(i, j)
+            form[a][a] = -2
+            if j + 1 < q - 1:
+                b = idx(i, j + 1)
+                form[a][b] = form[b][a] = 1
+            if i + 1 < p - 1:
+                b = idx(i + 1, j)
+                form[a][b] = form[b][a] = _CROSS_SAME
+                if j > 0:
+                    b = idx(i + 1, j - 1)
+                    form[a][b] = form[b][a] = _CROSS_PREV
+    return form
+
+
+def _symmetric_signature(form: list[list[int]]) -> int:
+    """Signature of a symmetric integer matrix by congruence diagonalization."""
+    n = len(form)
+    work = [[Fraction(x) for x in row] for row in form]
+    sig = 0
+    for k in range(n):
+        if work[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if work[i][i] != 0), None)
+            if swap is not None:
+                for row in work:
+                    row[k], row[swap] = row[swap], row[k]
+                work[k], work[swap] = work[swap], work[k]
+            else:
+                mate = next((i for i in range(k + 1, n) if work[k][i] != 0), None)
+                if mate is None:
+                    continue  # zero row/column: null direction, contributes 0
+                for col in range(n):
+                    work[k][col] += work[mate][col]
+                for row in work:
+                    row[k] += row[mate]
+        pivot = work[k][k]
+        sig += 1 if pivot > 0 else -1
+        for i in range(k + 1, n):
+            if work[i][k]:
+                factor = work[i][k] / pivot
+                for j in range(k + 1, n):
+                    work[i][j] -= factor * work[k][j]
+        for i in range(k + 1, n):
+            work[i][k] = Fraction(0)
+            work[k][i] = Fraction(0)
+    return sig
+
+
+def signature_seifert(p: int, q: int) -> int:
+    """Reference signature from the fence Seifert matrix, exactly diagonalized."""
+    knot = torus_knot(p, q)
+    if knot is None:
+        return 0
+    return _symmetric_signature(_fence_form(knot.p, knot.q))
 
 
 def test_signature_anchors():
