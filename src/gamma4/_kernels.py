@@ -9,18 +9,24 @@ are plain NumPy.  The profile grid ``max_gap_profile`` takes integer arrays
 only and returns int64.  Its long rows loop over blocks of levels outside
 and run starts inside, and run in int32 whenever every input value lies in
 ``[0, 2**31)`` (exact there, see its docstring), in int64 otherwise; its
-short profiles run as an int64 gather.
+short profiles run as an int64 gather.  ``profile_by_row_maxima`` reads the
+torsion profile that the grid's inversion gives as the row maxima of a
+counting-function matrix instead: each residue class of its rows modulo a
+shift period of the semigroup is an inverse Monge matrix, so a divide and
+conquer (Aggarwal, Klawe, Moran, Shor and Wilber, 1987) finds the maxima
+in vectorised rounds of at most ``ROUND_CELLS`` cells, and one gather in
+blocks of as many rows reads the values.
 
 This module owns two formats.  Every integer array or sequence that enters
 a complex, a semigroup, a staircase or the profile grid passes one gate,
 ``int64_array``.  The bitset format: ``pack_bit_rows`` packs a pattern into
-uint64 bit rows, and ``unpack_bit_rows`` turns those into the Python-int
-column bitsets that ``graded_snf`` reduces; ``column_bitsets`` builds the
-same bitsets straight from a differential's arrows.  A caller that runs one
-pattern under many gradings builds them once and passes them as
-``graded_snf(..., bits=...)``, and may pass each grading's grade classes,
-built from generators it keeps grouped by grading, as ``classes=...``, so
-that ``graded_snf`` sorts nothing.
+uint64 bit rows, and ``column_bitsets`` builds the Python-int column
+bitsets that ``graded_snf`` reduces straight from a differential's arrows.
+``graded_snf`` has one set-up path: its caller, which runs one pattern
+under many gradings, builds the bitsets once and passes them as
+``bits=...``, with each grading's grade classes, built from generators it
+keeps grouped by grading, as ``classes=...``; ``graded_snf`` unpacks and
+sorts nothing.
 
 The central kernel diagonalizes differentials over the one-variable
 polynomial ring with mod-2 coefficients.  Because the differential is
@@ -95,32 +101,12 @@ def pack_bit_rows(n: int, entries) -> np.ndarray:
     return rows
 
 
-def unpack_bit_rows(rows: np.ndarray) -> tuple[int, ...]:
-    """Python-int column bitsets of square uint64 bit rows.
-
-    Bit i of the j-th column bitset is set iff bit j of row i is set.
-    ``rows`` is left unchanged.
-    """
-    n, words = rows.shape
-    stride = 8 * words
-    raw = np.ascontiguousarray(rows, dtype="<u8").tobytes()
-    col_bits = [0] * n
-    for i, k in enumerate(range(0, n * stride, stride)):
-        bits = int.from_bytes(raw[k : k + stride], "little")
-        flag = 1 << i
-        while bits:
-            low = bits & -bits
-            col_bits[low.bit_length() - 1] |= flag
-            bits ^= low
-    return tuple(col_bits)
-
-
 def column_bitsets(n: int, src: np.ndarray, tgt: np.ndarray) -> tuple[int, ...]:
     """Python-int column bitsets of an ``n``-generator differential, built
     straight from its arrows ``src -> tgt``: bit ``tgt`` of column ``src``.
 
-    The same bitsets as ``unpack_bit_rows(pack_bit_rows(n, pairs))`` with one
-    ``(tgt, src)`` pair per arrow, with no bit rows in between.
+    Bit i of column j is set iff ``pack_bit_rows(n, pairs)``, with one
+    ``(tgt, src)`` pair per arrow, sets bit j of row i.
     """
     col_bits = [0] * n
     for s, t in zip(src.tolist(), tgt.tolist()):
@@ -168,42 +154,26 @@ def _first_extreme(bits: int, classes) -> int:
     )
 
 
-def _grade_classes(g: np.ndarray) -> list[tuple[int, list[int], int]]:
-    """The grade classes of ``g``, by descending grading: each grading, the
-    indices that carry it in increasing order, and their mask."""
-    order = np.argsort(-g, kind="stable")
-    negated, starts = np.unique(-g[order], return_index=True)
-    classes = []
-    for value, members in zip((-negated).tolist(), np.split(order, starts[1:])):
-        members = members.tolist()
-        mask = 0
-        for k in members:
-            mask |= 1 << k
-        classes.append((value, members, mask))
-    return classes
-
-
 def graded_snf(
     rows: np.ndarray,
     grading: np.ndarray,
     *,
-    bits: tuple[int, ...] | None = None,
-    classes: list[tuple[int, list[int], int]] | None = None,
+    bits: tuple[int, ...],
+    classes: list[tuple[int, list[int], int]],
 ):
     """Diagonalize a graded mod-2 differential; returns pivot data.
 
-    ``rows`` (uint64 bit rows from ``pack_bit_rows``, left unchanged) encodes
-    the nonzero pattern; entry degrees are implied by ``grading``.  ``bits``
-    are the column bitsets of that pattern, ``unpack_bit_rows(rows)`` or the
-    same bitsets from ``column_bitsets``, passed by callers that reduce one
-    pattern under many gradings; when ``bits`` is given ``rows`` is not
-    read, and without it ``rows`` is unpacked here.  ``classes`` are the
-    grade classes of ``grading``, by descending grading: each a triple of
-    the grading, the indices that carry it in increasing order, and the
-    mask of those indices.  A caller that holds its generators grouped by
-    grading builds them without a sort; without ``classes`` they are built
-    here from ``grading``, and given, they must be exactly those.  Returns
-    int64 arrays ``(pivot_row, pivot_col, pivot_degree)``.
+    ``bits`` are the column bitsets of the nonzero pattern, from
+    ``column_bitsets``; entry degrees are implied by ``grading``.
+    ``classes`` are the grade classes of ``grading``, by descending
+    grading: each a triple of the grading, the indices that carry it in
+    increasing order, and the mask of those indices; they must be exactly
+    those.  A caller that reduces one pattern under many gradings builds
+    the bitsets once, and the classes from generators it keeps grouped by
+    grading, so nothing is unpacked or sorted here.  ``rows``, the same
+    pattern as uint64 bit rows from ``pack_bit_rows``, is not read: it
+    stays the first argument so that a profiler can size the matrix from
+    it.  Returns int64 arrays ``(pivot_row, pivot_col, pivot_degree)``.
 
     Column reduction with clearing: columns are taken by descending grading,
     ties by index.  A column's pivot is its row of least grading, lowest
@@ -234,9 +204,6 @@ def graded_snf(
     if n == 0:
         return empty, empty.copy(), empty.copy()
     g = np.asarray(grading, dtype=np.int64)
-    col_bits = unpack_bit_rows(rows[:n]) if bits is None else bits
-    if classes is None:
-        classes = _grade_classes(g)
     values = [value for value, _, _ in reversed(classes)]  # ascending
     ascending = [mask for _, _, mask in reversed(classes)]  # one row mask per grading
 
@@ -247,7 +214,7 @@ def graded_snf(
         # The grade window: a column of grading g holds rows of grading >= g - 1.
         window = ascending[bisect_left(values, value - 1) :]
         for j in members:
-            column = col_bits[j]
+            column = bits[j]
             if not column or reduced[j]:
                 continue  # zero column, or cleared: its generator is a pivot row
             while True:
@@ -383,3 +350,182 @@ def max_gap_profile(gam_a: np.ndarray, gam_b: np.ndarray, v_count: int) -> np.nd
         block = tops[lo : lo + rows, None] - gam_a[ks + levels]
         np.maximum(out, block.max(axis=0), out=out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Torsion profile by monotone row maxima
+# ---------------------------------------------------------------------------
+
+#: Cells per search round and rows per block of the last gather of
+#: ``profile_by_row_maxima``: a quarter of a grid block, so that the five or
+#: so int64 temporaries of a round stay below 1 MB together.
+ROUND_CELLS = GRID_BLOCK_CELLS // 4
+
+
+def _shift_period(member: np.ndarray) -> int:
+    """A positive ``p`` with ``S + p`` inside ``S``, for the formal semigroup
+    ``S`` whose members ``member`` marks below its conductor ``len(member)``.
+
+    The multiplicity (the least nonzero member) when one pass over the
+    marks confirms it, otherwise the conductor, which is a period of every
+    formal semigroup; 1 for the unknot's, whose conductor is 0.
+    """
+    conductor = member.shape[0]
+    if conductor <= 2:  # genus 0 or 1: no nonzero member below the conductor
+        return conductor or 1
+    p = 1 + int(member[1:].argmax())
+    # a member m below 2g - p needs m + p in S; from 2g - p on it is there
+    if (member[: conductor - p] > member[p:]).any():
+        return conductor
+    return p
+
+
+def _row_argmax(rows, lo, width, table, x_off, s_col, key_col, weight):
+    """For each row ``r`` of ``rows``, the least column ``j`` in ``[lo, lo +
+    width)`` that maximises ``table[s_col[j] + r + x_off] - k_j``, as int64.
+
+    ``key_col[j] = weight * (-k_j) + weight - 1 - j``, with ``weight`` the
+    number of columns, so one maximum of ``table[...] * weight + key_col[j]``
+    finds the greatest value and, among equal values, the least column.  In
+    rounds of at most ``ROUND_CELLS`` cells: as many whole rows as fit, or
+    one column block of a row that does not fit alone.
+    """
+
+    def keys(col, x):
+        key = np.multiply(table.take(s_col.take(col) + x), weight, dtype=np.int64)
+        key += key_col.take(col)
+        return key
+
+    found = np.empty(rows.shape[0], dtype=np.int64)
+    ends = np.cumsum(width)
+    first = 0
+    while first < rows.shape[0]:
+        base = int(ends[first - 1]) if first else 0
+        stop = int(np.searchsorted(ends, base + ROUND_CELLS, "right"))
+        if stop == first:  # a row wider than a round
+            x = int(rows[first]) + x_off
+            left = int(lo[first])
+            right = left + int(width[first])
+            found[first] = max(
+                int(keys(np.arange(j, min(j + ROUND_CELLS, right)), x).max())
+                for j in range(left, right, ROUND_CELLS)
+            )
+            first += 1
+            continue
+        span = width[first:stop]
+        offsets = ends[first:stop] - span - base
+        col = np.repeat(lo[first:stop] - offsets, span)
+        col += np.arange(col.shape[0])
+        found[first:stop] = np.maximum.reduceat(
+            keys(col, np.repeat(rows[first:stop] + x_off, span)), offsets
+        )
+        first = stop
+    return weight - 1 - found % weight
+
+
+def profile_by_row_maxima(
+    members_a: np.ndarray, gam_b: np.ndarray, shift: int, count: int
+) -> np.ndarray:
+    """out[m] = max(0, max over k of I_A(gam_b[k] + shift - m) - k), for m
+    in [0, count), where ``I_A(y)`` counts the members of A below ``y``
+    (0 for ``y <= 0``).
+
+    ``members_a`` are the members of a formal semigroup A below its
+    conductor ``2g`` (from there on every integer is a member); ``gam_b``
+    is strictly increasing and non-negative (``ValueError`` otherwise).
+    Both pass ``int64_array``.  The result is int64.
+
+    Only the run starts ``s = gam_b[k]`` are read, ``k = 0`` or
+    ``gam_b[k] != gam_b[k - 1] + 1``: inside a run ``gam_b`` rises by 1 per
+    step, ``I_A`` by at most 1 and ``k`` by exactly 1.  So the result is
+    the row maxima of the matrix ``M[x, s] = I_A(s + x) - k(s)`` over rows
+    ``x = shift - m``, clipped at 0.
+
+    If ``A + p`` lies inside A, the rows ``x`` of one residue class mod
+    ``p`` form an inverse Monge matrix: for rows ``x < x'`` with ``x' - x
+    = d`` a multiple of ``p`` and columns ``s < s'``, ``M[x, s] + M[x', s']
+    - M[x, s'] - M[x', s] = f(s' + x) - f(s + x)`` with ``f(y) = I_A(y + d)
+    - I_A(y)``, and ``f(y + 1) - f(y) = [y + d in A] - [y in A] >= 0``.  So
+    the least maximising column never decreases down a class (Aggarwal,
+    Klawe, Moran, Shor and Wilber, "Geometric applications of a
+    matrix-searching algorithm", 1987).  ``_shift_period`` finds ``p``.
+    Each class first searches its first and last rows over every column.
+    Then, round by round, each two rows searched that have unsearched rows
+    of their class between them and maximise in different columns have
+    the row halfway between them searched between those two columns.  Two
+    rows that maximise in one column pass it to every row between them, by
+    one running maximum down each class.  A last gather reads the values.
+
+    Every search round, and every block of the last gather, touches at
+    most ``ROUND_CELLS`` cells (one column block of one row when a
+    single row is wider).  A class's cells in one round number at most its
+    columns plus its rows, and there are about ``log2(count / p)`` rounds,
+    against ``count`` times the columns for the full grid.  The counting
+    table of ``I_A`` has about ``g_A + g_B + count`` int32 entries, the
+    marks it is summed from one byte each, and the maximising columns one
+    int32 per row.
+    """
+    members_a = int64_array(members_a, "members_a")
+    gam_b = int64_array(gam_b, "gam_b")
+    g = members_a.shape[0]
+    if g and (
+        members_a[0] != 0
+        or members_a[-1] >= 2 * g
+        or (members_a[1:] <= members_a[:-1]).any()
+    ):
+        raise ValueError("members_a must be a formal semigroup's members below 2g")
+    if gam_b.shape[0] == 0 or gam_b[0] < 0 or (gam_b[1:] <= gam_b[:-1]).any():
+        raise ValueError("gam_b must be nonempty, non-negative and strictly increasing")
+    if count <= 0:
+        return np.zeros(0, dtype=np.int64)
+    cols = np.flatnonzero(np.concatenate(([True], gam_b[1:] != gam_b[:-1] + 1)))
+    s_col = gam_b[cols]
+    weight = cols.shape[0]
+    key_col = weight - 1 - np.arange(weight) - cols * weight
+
+    # One mark per member of A on [0, max(y_hi, 2g)): the period reads the
+    # marks below the conductor, and table[y - y_lo] = I_A(y), for every
+    # y = s + x that a cell reads, is their running sum.
+    x_lo = shift - count + 1
+    y_lo = min(0, x_lo)
+    y_hi = max(0, int(s_col[-1]) + shift)
+    member = np.zeros(max(y_hi, 2 * g), dtype=bool)
+    member[members_a] = True
+    member[2 * g :] = True
+    period = min(_shift_period(member[: 2 * g]), count)
+    table = np.zeros(y_hi - y_lo + 1, dtype=np.int32)
+    np.cumsum(member[:y_hi], dtype=np.int32, out=table[1 - y_lo :])
+    del member
+    x_off = x_lo - y_lo  # row r, x = x_lo + r, reads table[s + r + x_off]
+
+    depth = -(-count // period)
+    best = np.full(depth * period, -1, dtype=np.int32)
+    left = np.arange(period)
+    right = left + (count - 1 - left) // period * period
+    ends = np.union1d(left, right)
+    search = (table, x_off, s_col, key_col, weight)
+    best[ends] = _row_argmax(ends, np.zeros_like(ends), np.full_like(ends, weight), *search)
+    lo, hi = best[left].astype(np.int64), best[right].astype(np.int64)
+    while True:
+        open_ = np.flatnonzero((right - left > period) & (lo != hi))
+        if not open_.shape[0]:
+            break
+        left, right, lo, hi = left[open_], right[open_], lo[open_], hi[open_]
+        mid = left + (right - left) // (2 * period) * period
+        at = _row_argmax(mid, lo, hi - lo + 1, *search)
+        best[mid] = at
+        left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
+        lo, hi = np.concatenate((lo, at)), np.concatenate((at, hi))
+    # An unsearched row lies between two rows of its class that maximise
+    # in one column, and columns never decrease down a class.
+    by_class = best.reshape(depth, period)  # row r at [r // period, r % period]
+    np.maximum.accumulate(by_class, axis=0, out=by_class)
+
+    out = np.empty(count, dtype=np.int64)
+    for r0 in range(0, count, ROUND_CELLS):
+        r1 = min(r0 + ROUND_CELLS, count)
+        col = best[r0:r1]
+        y = s_col.take(col)
+        y += np.arange(r0 + x_off, r1 + x_off)
+        np.subtract(table.take(y), cols.take(col), out=out[count - r1 : count - r0][::-1])
+    return np.maximum(out, 0, out=out)

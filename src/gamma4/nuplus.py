@@ -11,6 +11,37 @@ closed form in terms of the enumerating functions of the two semigroups:
 Inverting it in ``v`` recovers the full torsion profile ``V_0, V_1, ...``
 without ever building a chain complex.
 
+The profile can also be read without the grid and without the inversion.
+Write ``I_X(y)`` for the number of members of X below ``y`` (0 for ``y <=
+0``), the counting-function view of Borodzik–Livingston
+(arXiv:1304.1062), and ``c = g_A - g_B``.  Since ``Gamma_A(j) >= t`` iff
+``j >= I_A(t)``, ``nu_plus_v <= m`` holds iff ``v >= I_A(Gamma_B(k) + c -
+m) - k`` for every k, so
+
+    V_m = max(0, max_{s in S} I_A(s + c - m) - I_B(s)),  m = 0 .. nu_plus_0,
+
+where S is the set of run starts of B's members: inside a run of
+consecutive members ``s`` and ``I_B(s)`` rise by one per step and ``I_A``
+by at most one, so a run's maximum is at its start.  On the rows ``x = c -
+m`` of one residue class mod ``p``, where ``A + p`` lies inside A (the
+multiplicity when one pass over the members confirms it, otherwise the
+conductor, a period of every formal semigroup), the matrix ``I_A(s + x) -
+I_B(s)`` is inverse Monge: shifting a window right by a multiple of ``p``
+maps A's members into members, so the count of members in a window of that
+length never falls as it moves right.  Its row maxima then come from a
+divide and conquer that reads far fewer cells than the grid
+(``_kernels.profile_by_row_maxima``).  The grid has no such structure in
+the index ``v``, so ``nu_profile`` keeps the full grid.
+``vi_from_nuplus`` crosses over at one grid block: a grid of at most
+``_kernels.GRID_BLOCK_CELLS`` cells (run starts times levels ``0 ..
+V_0``) runs as ``nu_profile`` and its inversion, where the divide and
+conquer's fixed costs would dominate, and so does a larger grid that has
+no more cells than the divide and conquer's first round, which reads the
+first and last row of each residue class in full (``V_0 + 1 <= 2
+min(p, nu_plus_0 + 1)`` with ``p`` the multiplicity of A: few rows per
+class).  Every other grid runs as row maxima.  ``nu_profile`` also stays the reference of the tests and the
+index-grid input of ``verify``.
+
 The router in this module decides, per expression, when that formula is
 trustworthy.  Three situations qualify:
 
@@ -141,30 +172,31 @@ def nu_plus_v(a: FormalSemigroup, b: FormalSemigroup, v: int) -> int:
     return max(0, ga - gb + best)
 
 
-def nu_profile(a: FormalSemigroup, b: FormalSemigroup) -> np.ndarray:
-    """Vector of ``nu_plus_v(a, b, v)`` for ``v = 0 .. V_0`` (ends at 0).
+def _profile_head(a: FormalSemigroup, b: FormalSemigroup) -> tuple[np.ndarray, int]:
+    """``Gamma_B(0 .. g_B)`` and the first zero of ``nu_plus``, that is ``V_0``.
 
-    Only the levels up to the first zero are evaluated.  That index comes
-    straight from the counting function of ``a``: ``Gamma_A(j) >= c`` iff
-    ``j >= #{s in A : s < c}``, so every term ``g_A - g_B + Gamma_B(k) -
-    Gamma_A(k + v)`` is at most 0 iff ``v >= #{s in A : s < Gamma_B(k) +
-    g_A - g_B} - k``, and the first zero is the largest of these bounds
-    (at least 0, and at most ``g_A`` because ``Gamma_B(k) <= k + g_B``).
-    ``nu_plus_v`` does not increase in ``v``, so the grid ends there; a
-    grid whose last value is not its only zero is a bug and raises
-    ``AssertionError``.  ``max_gap_profile`` reads only the run starts of
-    ``Gamma_B`` (see its docstring for why that is exact).
+    ``Gamma_A(j) >= c`` iff ``j >= I_A(c)``, where ``I_A(c)`` counts the
+    members of ``a`` below ``c``, so every term ``g_A - g_B + Gamma_B(k) -
+    Gamma_A(k + v)`` is at most 0 iff ``v >= I_A(Gamma_B(k) + g_A - g_B) -
+    k``, and the first zero is the largest of these bounds (at least 0, and
+    at most ``g_A`` because ``Gamma_B(k) <= k + g_B``).
     """
     ga, gb = a.genus, b.genus
-    gam_a = a.enumerating_prefix(gb + ga + 1)
     gam_b = b.enumerating_prefix(gb + 1)
     targets = gam_b + (ga - gb)
     below = np.where(
-        targets >= 2 * ga, targets - ga, np.searchsorted(gam_a[:ga], targets)
+        targets >= 2 * ga, targets - ga, np.searchsorted(a.members, targets)
     )
-    first_zero = max(0, int((below - np.arange(gb + 1)).max()))
+    return gam_b, max(0, int((below - np.arange(gb + 1)).max()))
+
+
+def _nu_grid(
+    a: FormalSemigroup, b: FormalSemigroup, gam_b: np.ndarray, first_zero: int
+) -> np.ndarray:
+    """``nu_plus_v`` for ``v = 0 .. first_zero`` by the grid ``max_gap_profile``."""
+    ga, gb = a.genus, b.genus
     raw = _kernels.max_gap_profile(
-        gam_a[: gb + first_zero + 1], gam_b, first_zero + 1
+        a.enumerating_prefix(gb + first_zero + 1), gam_b, first_zero + 1
     )
     nus = np.maximum(raw + (ga - gb), 0)
     if nus[-1] != 0 or (first_zero > 0 and nus[-2] <= 0):
@@ -172,6 +204,19 @@ def nu_profile(a: FormalSemigroup, b: FormalSemigroup) -> np.ndarray:
             f"closed-form grid does not end at its first zero ({first_zero})"
         )
     return nus
+
+
+def nu_profile(a: FormalSemigroup, b: FormalSemigroup) -> np.ndarray:
+    """Vector of ``nu_plus_v(a, b, v)`` for ``v = 0 .. V_0`` (ends at 0).
+
+    Only the levels up to the first zero are evaluated; that index comes
+    straight from the counting function of ``a`` (``_profile_head``).
+    ``nu_plus_v`` does not increase in ``v``, so the grid ends there; a
+    grid whose last value is not its only zero is a bug and raises
+    ``AssertionError``.  ``max_gap_profile`` reads only the run starts of
+    ``Gamma_B`` (see its docstring for why that is exact).
+    """
+    return _nu_grid(a, b, *_profile_head(a, b))
 
 
 def _invert_profile(nus: np.ndarray) -> tuple[int, ...]:
@@ -184,13 +229,47 @@ def _invert_profile(nus: np.ndarray) -> tuple[int, ...]:
     repeats references, and its ``tolist`` hands them back as they are.
     """
     upper = np.concatenate(([nus[0] + 1], nus[:-1]))
-    levels = np.array(range(len(nus) - 1, -1, -1), dtype=object)
-    return tuple(levels.repeat((upper - nus)[::-1]).tolist())
+    return _repeat_levels(upper - nus)
+
+
+def _repeat_levels(spans: np.ndarray) -> tuple[int, ...]:
+    """The profile with ``spans[v]`` entries ``v``, largest ``v`` first."""
+    levels = np.array(range(len(spans) - 1, -1, -1), dtype=object)
+    return tuple(levels.repeat(spans[::-1]).tolist())
 
 
 def vi_from_nuplus(a: FormalSemigroup, b: FormalSemigroup) -> tuple[int, ...]:
-    """Torsion profile of ``A # -B`` by inverting the closed form."""
-    return _invert_profile(nu_profile(a, b))
+    """Torsion profile of ``A # -B`` from the closed form.
+
+    A first zero at ``v = 0`` is the profile ``(0,)``.  Otherwise the grid
+    (run starts of ``Gamma_B`` times levels ``0 .. V_0``) runs as
+    ``nu_profile`` and its inversion when it has at most
+    ``GRID_BLOCK_CELLS`` cells, or no more than the first round of the row
+    maxima reads: the first and last of the ``nu_plus_0 + 1`` rows ``m`` in
+    each residue class modulo the multiplicity of ``a``, over every run
+    start.  Otherwise ``profile_by_row_maxima`` runs (see the module
+    docstring).  Row maxima that do not start at ``V_0`` or do not end at
+    their only zero are a bug and raise ``AssertionError``.
+    """
+    gam_b, first_zero = _profile_head(a, b)
+    if first_zero == 0:
+        return (0,)
+    runs = 1 + int(np.count_nonzero(gam_b[1:] != gam_b[:-1] + 1))
+    if runs * (first_zero + 1) <= _kernels.GRID_BLOCK_CELLS:
+        return _invert_profile(_nu_grid(a, b, gam_b, first_zero))
+    ga, gb = a.genus, b.genus
+    nu_0 = max(0, ga - gb + int((gam_b - a.enumerating_prefix(gb + 1)).max()))
+    if first_zero + 1 <= 2 * min(a.enumerating(1), nu_0 + 1):
+        return _invert_profile(_nu_grid(a, b, gam_b, first_zero))
+    values = _kernels.profile_by_row_maxima(a.members, gam_b, ga - gb, nu_0 + 1)
+    if values[0] != first_zero or values[-1] != 0 or (nu_0 > 0 and values[-2] <= 0):
+        raise AssertionError(
+            f"row maxima do not run from V_0 = {first_zero} to their only zero"
+        )
+    # V_m never rises in m, so its count per level puts it in order
+    spans = np.bincount(values)
+    del values  # not held while the tuple is built
+    return _repeat_levels(spans)
 
 
 # ---------------------------------------------------------------------------

@@ -132,12 +132,6 @@ class FormalSemigroup:
     def conductor(self) -> int:
         return 2 * self.members.size
 
-    @cached_property
-    def gaps(self) -> tuple[int, ...]:
-        is_gap = np.ones(self.conductor, dtype=bool)
-        is_gap[self.members] = False
-        return tuple(np.flatnonzero(is_gap).tolist())
-
     def __contains__(self, x: object) -> bool:
         if not _is_integer(x) or x < 0:
             return False
@@ -176,25 +170,6 @@ class FormalSemigroup:
         return np.concatenate(
             (self.members, np.arange(2 * g, count + g, dtype=np.int64))
         )
-
-    @cached_property
-    def is_closed_under_addition(self) -> bool:
-        """Whether this is a genuine numerical semigroup (sums stay inside).
-
-        Only sums below the conductor can escape, so the check is quadratic in
-        the genus.  Formal semigroups produced by ``from_vi`` on tensor-product
-        profiles can fail this; two-generator semigroups never do.
-        """
-        member = set(self.elements)
-        nonzero = [s for s in self.elements if s > 0]
-        for i, s1 in enumerate(nonzero):
-            for s2 in nonzero[i:]:
-                total = s1 + s2
-                if total >= self.conductor:
-                    break
-                if total not in member:
-                    return False
-        return True
 
     # -- torsion profile ---------------------------------------------------
 

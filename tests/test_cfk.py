@@ -282,6 +282,53 @@ def _bit_rows(c: BifilteredComplex) -> np.ndarray:
     return _kernels.pack_bit_rows(len(c), entries)
 
 
+def _unpack_bit_rows(rows: np.ndarray) -> tuple[int, ...]:
+    """Reference for ``_kernels.column_bitsets``: the Python-int column
+    bitsets of square uint64 bit rows.
+
+    Bit i of the j-th column bitset is set iff bit j of row i is set.
+    ``rows`` is left unchanged.
+    """
+    n, words = rows.shape
+    stride = 8 * words
+    raw = np.ascontiguousarray(rows, dtype="<u8").tobytes()
+    col_bits = [0] * n
+    for i, k in enumerate(range(0, n * stride, stride)):
+        bits = int.from_bytes(raw[k : k + stride], "little")
+        flag = 1 << i
+        while bits:
+            low = bits & -bits
+            col_bits[low.bit_length() - 1] |= flag
+            bits ^= low
+    return tuple(col_bits)
+
+
+def _grade_classes(g: np.ndarray) -> list[tuple[int, list[int], int]]:
+    """Reference for ``cfk._level_classes``: the grade classes of ``g``, by
+    descending grading: each grading, the indices that carry it in
+    increasing order, and their mask."""
+    g = np.asarray(g, dtype=np.int64)
+    order = np.argsort(-g, kind="stable")
+    negated, starts = np.unique(-g[order], return_index=True)
+    classes = []
+    for value, members in zip((-negated).tolist(), np.split(order, starts[1:])):
+        members = members.tolist()
+        mask = 0
+        for k in members:
+            mask |= 1 << k
+        classes.append((value, members, mask))
+    return classes
+
+
+def _graded_snf_alone(rows: np.ndarray, grading: np.ndarray):
+    """``graded_snf`` set up from the bit rows and the gradings alone: the
+    bitsets unpacked from ``rows``, the classes sorted from ``grading``."""
+    n = len(grading)
+    return _kernels.graded_snf(
+        rows, grading, bits=_unpack_bit_rows(rows[:n]), classes=_grade_classes(grading)
+    )
+
+
 def _graded_snf_numpy(rows: np.ndarray, grading: np.ndarray):
     """NumPy reference for ``_kernels.graded_snf``: a doubly-minimal elimination.
 
@@ -390,13 +437,13 @@ def _tower_grading_numpy(grading: np.ndarray, pivot_src_m: np.ndarray, torsion) 
 
 def _snf_all(c: BifilteredComplex, bits):
     """Graded invariants on ``c`` of ``graded_snf``, which must return the
-    same int64 triples without and with ``bits``, and of the NumPy
-    reference."""
+    same int64 triples on bitsets unpacked from its own bit rows and on
+    ``bits``, and of the NumPy reference."""
     grading = np.asarray(c.maslov, dtype=np.int64)
     rows = _bit_rows(c)
     before = rows.copy()
-    fast = _kernels.graded_snf(rows, grading)
-    shared = _kernels.graded_snf(rows, grading, bits=bits)
+    fast = _graded_snf_alone(rows, grading)
+    shared = _kernels.graded_snf(rows, grading, bits=bits, classes=_grade_classes(grading))
     assert np.array_equal(rows, before)  # the input is left unchanged
     assert len(fast) == len(shared) == 3
     for got, again in zip(fast, shared):
@@ -428,22 +475,22 @@ def _sample_complexes() -> list[BifilteredComplex]:
 
 def test_backends_agree_on_homology_structure():
     """``graded_snf`` has the graded invariants of the NumPy reference at
-    every level, whether it unpacks the bit rows itself or is given the
-    column bitsets that ``unpack_bit_rows`` made once for the whole
-    complex."""
+    every level, whether it is given the bitsets unpacked from the level's
+    own bit rows or those unpacked once for the whole complex, which
+    ``column_bitsets`` builds straight from the arrows."""
     samples = [*_sample_complexes(), BifilteredComplex(("x",), (0,), (0,), (), (), ())]
     assert max(len(c) for c in samples) == 405
     for c in samples:
-        bits = _kernels.unpack_bit_rows(_bit_rows(c))
+        bits = _unpack_bit_rows(_bit_rows(c))
         assert len(bits) == len(c)
         assert _kernels.column_bitsets(len(c), c.src, c.tgt) == bits
         for sub in _every_level(c):
-            assert _kernels.unpack_bit_rows(_bit_rows(sub)) == bits  # same pattern
+            assert _unpack_bit_rows(_bit_rows(sub)) == bits  # same pattern
             got, want = _snf_all(sub, bits)
             assert got == want
     empty = np.zeros(0, dtype=np.int64)
     for res in (
-        _kernels.graded_snf(_kernels.pack_bit_rows(0, []), empty),
+        _graded_snf_alone(_kernels.pack_bit_rows(0, []), empty),
         _graded_snf_numpy(_kernels.pack_bit_rows(0, []), empty),
     ):
         assert [x.tolist() for x in res] == [[], [], []]
@@ -459,7 +506,7 @@ def test_backends_agree_on_homology_structure_at_scale():
         dual(torus_staircase(5, 6)), dual(torus_staircase(2, 3)),
     ])
     assert len(c) == 1323
-    bits = _kernels.unpack_bit_rows(_bit_rows(c))
+    bits = _unpack_bit_rows(_bit_rows(c))
     levels = _every_level(c)
     assert len(levels) == 38
     for sub in levels:
@@ -486,7 +533,7 @@ def test_classes_from_groups_give_identical_triples():
         for s, grading in _level_gradings(c):
             classes = _level_classes(c, s)
             assert [value for value, _, _ in classes] == sorted(set(grading.tolist()), reverse=True)
-            alone = _kernels.graded_snf(rows, grading)
+            alone = _graded_snf_alone(rows, grading)
             grouped = _kernels.graded_snf(rows, grading, bits=bits, classes=classes)
             for got, want in zip(grouped, alone):
                 assert got.dtype == want.dtype == np.int64
@@ -570,13 +617,10 @@ def _homogeneous_differentials(draw):
 @given(_homogeneous_differentials())
 def test_backends_agree_on_homogeneous_patterns(case):
     """On homogeneous differentials beyond the sample complexes, the graded
-    invariants of ``graded_snf``, with and without ``bits``, equal those of
-    the NumPy reference and those of the pieces the differential was made
-    of."""
+    invariants of ``graded_snf`` equal those of the NumPy reference and
+    those of the pieces the differential was made of."""
     grading, rows, expected = case
-    fast = _kernels.graded_snf(rows, grading)
-    shared = _kernels.graded_snf(rows, grading, bits=_kernels.unpack_bit_rows(rows))
-    assert [x.tolist() for x in fast] == [x.tolist() for x in shared]
+    fast = _graded_snf_alone(rows, grading)
     ref = _graded_snf_numpy(rows.copy(), grading.copy())
     assert _graded_invariants(fast, grading) == _graded_invariants(ref, grading) == expected
 
@@ -587,7 +631,7 @@ def test_clearing_skips_only_pivot_rows():
     that column but not its pivot, must still be reduced."""
     grading = np.array([0, -1, -1, -2], dtype=np.int64)  # x, y1, y2, z
     rows = _kernels.pack_bit_rows(4, [(1, 0), (2, 0), (3, 1), (3, 2)])
-    got = _kernels.graded_snf(rows, grading)
+    got = _graded_snf_alone(rows, grading)
     assert [x.tolist() for x in got] == [[1, 3], [0, 2], [0, 0]]
     assert _graded_invariants(got, grading) == (2, [], [(-2, -1), (-1, 0)])
 
@@ -823,7 +867,7 @@ def test_packed_pattern_leaves_equality_and_hash_alone():
     # The column bitsets alone: bit tgt of column src set per arrow.
     assert isinstance(bits, tuple) and len(bits) == len(c)
     assert all(type(b) is int for b in bits)
-    assert bits == _kernels.unpack_bit_rows(rows)
+    assert bits == _unpack_bit_rows(rows)
     assert sum(b.bit_count() for b in bits) == len(c.src)
     assert all(bits[src] >> tgt & 1 for src, tgt in zip(c.src.tolist(), c.tgt.tolist()))
     assert not rows.flags.writeable
@@ -834,12 +878,13 @@ def test_packed_pattern_leaves_equality_and_hash_alone():
 def test_level_sweep_builds_bitsets_once(monkeypatch):
     """Levels 0 to max(A) of the 405-generator oracle complex share one
     bitset build, straight from the arrows, and one grouping of the
-    generators by grading, and every elimination gets the bitsets and the
-    level's classes."""
+    generators by grading, and every elimination gets the complex's bit
+    rows, its bitsets and the level's classes: ``graded_snf`` has no other
+    set-up path."""
     c = _sample_complexes()[-1]
     levels = range(max(c.alexander) + 1)
     assert (len(c), len(levels)) == (405, 24)
-    builds, unpacks, eliminations, groupings = [], [], [], []
+    builds, eliminations, groupings = [], [], []
     group = BifilteredComplex.__dict__["_groups"].func
 
     def counted_group(self):
@@ -854,37 +899,41 @@ def test_level_sweep_builds_bitsets_once(monkeypatch):
         builds.append(n)
         return column_bitsets(n, src, tgt)
 
-    def counted_unpack(rows):
-        unpacks.append(rows.shape)
-        return unpack_bit_rows(rows)
+    def counted_snf(rows, grading, **kwargs):
+        pattern = c._pattern
+        eliminations.append((rows is pattern.rows, kwargs["bits"] is pattern.bits, sorted(kwargs)))
+        return graded_snf(rows, grading, **kwargs)
 
-    def counted_snf(*args, **kwargs):
-        eliminations.append((kwargs.get("bits") is not None, kwargs.get("classes") is not None))
-        return graded_snf(*args, **kwargs)
-
-    column_bitsets, unpack_bit_rows = _kernels.column_bitsets, _kernels.unpack_bit_rows
-    graded_snf = _kernels.graded_snf
+    column_bitsets, graded_snf = _kernels.column_bitsets, _kernels.graded_snf
     monkeypatch.setattr(_kernels, "column_bitsets", counted_build)
-    monkeypatch.setattr(_kernels, "unpack_bit_rows", counted_unpack)
     monkeypatch.setattr(_kernels, "graded_snf", counted_snf)
     for s in levels:
         assert homology_over_polynomial_ring(c, s).free_rank == 1
     groups = c._groups
     monkeypatch.undo()
     assert builds == [405]
-    assert unpacks == []
     assert groupings == [405]
-    assert eliminations == [(True, True)] * 24
+    assert eliminations == [(True, True, ["bits", "classes"])] * 24
     assert sorted(k for _, _, members, _ in groups for k in members) == list(range(405))
     # The shared bitsets change nothing: they are those of the packed rows,
-    # and give the same triples as an unpack per level.
+    # and give the same triples as an unpack and a sort per level.
     rows, bits = c._pattern
-    assert bits == _kernels.unpack_bit_rows(rows)
+    assert bits == _unpack_bit_rows(rows)
     for s in levels:
         grading = c.maslov - 2 * np.maximum(c.alexander - s, 0)
-        shared = _kernels.graded_snf(rows, grading, bits=bits)
-        alone = _kernels.graded_snf(rows, grading)
+        shared = _kernels.graded_snf(rows, grading, bits=bits, classes=_level_classes(c, s))
+        alone = _graded_snf_alone(rows, grading)
         assert [x.tolist() for x in shared] == [x.tolist() for x in alone]
+
+
+def test_graded_snf_takes_no_default_set_up():
+    """Without the bitsets or the classes ``graded_snf`` refuses to run."""
+    c = _sample_complexes()[0]
+    rows, bits = c._pattern
+    classes = _level_classes(c, None)
+    for kwargs in ({}, {"bits": bits}, {"classes": classes}):
+        with pytest.raises(TypeError):
+            _kernels.graded_snf(rows, c.maslov, **kwargs)
 
 
 def test_level_homology_rejects_negative_shifted_exponent():

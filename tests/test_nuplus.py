@@ -446,6 +446,25 @@ def test_tensor_cache_holds_one_complex(monkeypatch):
     assert gamma4.nuplus._tensor_of_pieces.cache_info().currsize == 1
 
 
+def is_closed_under_addition(s: FormalSemigroup) -> bool:
+    """Whether ``s`` is a genuine numerical semigroup (sums stay inside).
+
+    Only sums below the conductor can escape, so the check is quadratic in
+    the genus.  Formal semigroups produced by ``from_vi`` on tensor-product
+    profiles can fail this; two-generator semigroups never do.
+    """
+    member = set(s.elements)
+    nonzero = [x for x in s.elements if x > 0]
+    for i, s1 in enumerate(nonzero):
+        for s2 in nonzero[i:]:
+            total = s1 + s2
+            if total >= s.conductor:
+                break
+            if total not in member:
+                return False
+    return True
+
+
 def test_mixed_multifactor_closed_form_fails():
     """The two-sided formula is wrong on some heterogeneous sums.
 
@@ -463,7 +482,7 @@ def test_mixed_multifactor_closed_form_fails():
     positive_profile = vi_expr(parse("T(2,3) + T(5,6)"))
     reduced = FormalSemigroup.from_vi(positive_profile)
     assert reduced.vi == positive_profile  # the reduction round-trips...
-    assert not reduced.is_closed_under_addition  # ...but is merely formal
+    assert not is_closed_under_addition(reduced)  # ...but is merely formal
     wrong = vi_from_nuplus(reduced, FormalSemigroup.from_generators(2, 5))
     assert wrong != correct
 
@@ -732,3 +751,166 @@ def test_nu_profile_matches_full_grid_on_large_pairs(pos, neg):
     b = FormalSemigroup.from_generators(*neg) if neg else UNKNOT_SEMIGROUP
     for top, bottom in ((a, b), (b, a)):
         assert nu_profile(top, bottom).tolist() == nu_profile_full_grid(top, bottom).tolist()
+
+
+# ---------------------------------------------------------------------------
+# The closed form by monotone row maxima
+# ---------------------------------------------------------------------------
+
+
+def row_maxima_profile(a: FormalSemigroup, b: FormalSemigroup) -> tuple[int, ...]:
+    """The torsion profile of ``A # -B`` from ``profile_by_row_maxima``
+    alone, whatever the size of the grid."""
+    ga, gb = a.genus, b.genus
+    gam_b = b.enumerating_prefix(gb + 1)
+    nu_0 = max(0, ga - gb + int((gam_b - a.enumerating_prefix(gb + 1)).max()))
+    values = _kernels.profile_by_row_maxima(a.members, gam_b, ga - gb, nu_0 + 1)
+    assert values.dtype == np.int64
+    return tuple(values.tolist())
+
+
+def grid_profile(a: FormalSemigroup, b: FormalSemigroup) -> tuple[int, ...]:
+    return _invert_profile(nu_profile(a, b))
+
+
+def marks(s: FormalSemigroup) -> np.ndarray:
+    """Whether each integer below the conductor of ``s`` is a member."""
+    member = np.zeros(s.conductor, dtype=bool)
+    member[s.members] = True
+    return member
+
+
+def grid_cells(a: FormalSemigroup, b: FormalSemigroup) -> int:
+    """Run starts of ``Gamma_B`` times the levels ``0 .. V_0`` of the grid."""
+    gam_b = b.enumerating_prefix(b.genus + 1)
+    runs = 1 + int(np.count_nonzero(gam_b[1:] != gam_b[:-1] + 1))
+    return runs * len(nu_profile(a, b))
+
+
+def _kernel_calls(monkeypatch) -> list[int]:
+    calls = []
+    kernel = _kernels.profile_by_row_maxima
+
+    def counted(*args):
+        calls.append(args[3])
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "profile_by_row_maxima", counted)
+    return calls
+
+
+two_generator = st.one_of(
+    st.just(UNKNOT_SEMIGROUP),
+    semigroups,
+    # T(p, pn + 1), the class of n copies of T(p, p + 1)
+    st.tuples(st.integers(min_value=2, max_value=9), st.integers(min_value=1, max_value=12)).map(
+        lambda pn: FormalSemigroup.from_generators(pn[0], pn[0] * pn[1] + 1)
+    ),
+    st.tuples(st.integers(min_value=2, max_value=12), st.integers(min_value=13, max_value=90))
+    .filter(lambda pq: gcd(*pq) == 1)
+    .map(lambda pq: FormalSemigroup.from_generators(*pq)),
+)
+
+
+@given(two_generator, two_generator, st.sampled_from([3, 64, _kernels.ROUND_CELLS]))
+@example(S526, S211, 3)
+@example(FormalSemigroup.from_generators(2, 15), UNKNOT_SEMIGROUP, 3)
+@settings(max_examples=200, deadline=None)
+def test_row_maxima_match_the_grid(a, b, cells):
+    """In both orientations, with rounds of a few cells (a row wider than a
+    round, several rows per round) and of the default size."""
+    with mock.patch.object(_kernels, "ROUND_CELLS", cells):
+        for top, bottom in ((a, b), (b, a)):
+            assert row_maxima_profile(top, bottom) == grid_profile(top, bottom)
+
+
+@pytest.mark.parametrize(
+    "pos, neg", [((41, 4978), (9, 251)), ((6, 24169), (3, 1516)), ((31, 2016), (12, 545))]
+)
+def test_row_maxima_match_the_grid_on_large_pairs(monkeypatch, pos, neg):
+    a = FormalSemigroup.from_generators(*pos)
+    b = FormalSemigroup.from_generators(*neg)
+    calls = _kernel_calls(monkeypatch)
+    for top, bottom in ((a, b), (b, a)):
+        want = grid_profile(top, bottom)
+        assert vi_from_nuplus(top, bottom) == want
+        assert row_maxima_profile(top, bottom) == want
+    assert grid_cells(a, b) > _kernels.GRID_BLOCK_CELLS
+    assert calls[0] == len(vi_from_nuplus(a, b))  # the kernel ran, one row per m
+
+
+def test_row_maxima_take_the_conductor_period_off_a_semigroup():
+    """The profile of ``T(3,4) + T(5,6)`` gives a formal semigroup with
+    ``A + 5`` not inside A, so the kernel takes the conductor as its
+    period.  That of ``T(2,3) + T(5,6)`` is not closed under addition
+    either (7 + 7 is a gap), but ``A + 5`` lies inside it, so it keeps its
+    multiplicity.  On both the kernel is the grid."""
+    broken = FormalSemigroup.from_vi(vi_expr(parse("T(3,4) + T(5,6)")))
+    assert 10 in broken.elements and 15 not in broken.elements
+    assert _kernels._shift_period(marks(broken)) == broken.conductor == 26
+    shifted = FormalSemigroup.from_vi(vi_expr(parse("T(2,3) + T(5,6)")))
+    assert not is_closed_under_addition(shifted)
+    assert _kernels._shift_period(marks(shifted)) == 5
+    others = [UNKNOT_SEMIGROUP, S23, S211, S526, FormalSemigroup.from_generators(3, 7)]
+    for reduced in (broken, shifted):
+        for other in others:
+            for top, bottom in ((reduced, other), (other, reduced)):
+                assert row_maxima_profile(top, bottom) == grid_profile(top, bottom)
+
+
+def test_shift_period_is_the_multiplicity_of_a_semigroup():
+    assert _kernels._shift_period(marks(UNKNOT_SEMIGROUP)) == 1
+    assert _kernels._shift_period(marks(S23)) == 2  # the multiplicity and the conductor
+    for p, q in ((2, 11), (5, 26), (41, 4978), (3, 1516)):
+        assert _kernels._shift_period(marks(FormalSemigroup.from_generators(p, q))) == p
+
+
+def test_row_maxima_profile_shares_one_int_per_level(monkeypatch):
+    a = FormalSemigroup.from_generators(41, 4978)
+    b = FormalSemigroup.from_generators(9, 251)
+    calls = _kernel_calls(monkeypatch)
+    profile = vi_from_nuplus(a, b)
+    assert calls == [len(profile)]
+    assert profile[0] > 256  # above the small ints that Python caches anyway
+    assert all(type(v) is int for v in profile)
+    assert len({id(v) for v in profile}) == profile[0] + 1  # one int object per level
+
+
+@pytest.mark.parametrize(
+    "pos, neg, cells, rows_run",
+    [
+        ((5, 638), (5, 212), 65535, False),
+        ((5, 629), (9, 115), 65536, False),
+        ((5, 642), (9, 254), 65540, True),
+        # past one block, with 4 953 run starts and 20 residue classes:
+        # 25 or 40 levels are no more than the first round's 2 * 20 rows
+        ((20, 1057), (21, 1000), 4953 * 25, False),
+        ((20, 1063), (21, 1000), 4953 * 40, False),
+        ((20, 1067), (21, 1000), 4953 * 51, True),
+    ],
+)
+def test_inputs_either_side_of_the_crossover_agree(monkeypatch, pos, neg, cells, rows_run):
+    """Grids of up to ``GRID_BLOCK_CELLS`` cells, or of no more cells than
+    the first round of row maxima, run as the grid, other ones as row
+    maxima, and the two agree on either side."""
+    a = FormalSemigroup.from_generators(*pos)
+    b = FormalSemigroup.from_generators(*neg)
+    assert grid_cells(a, b) == cells
+    calls = _kernel_calls(monkeypatch)
+    want = grid_profile(a, b)
+    assert vi_from_nuplus(a, b) == row_maxima_profile(a, b) == want
+    assert len(calls) == 1 + rows_run  # row_maxima_profile, and vi_from_nuplus if it ran them
+
+
+def test_row_maxima_refuse_malformed_input():
+    gam_b = S211.enumerating_prefix(S211.genus + 1)
+    members = S526.members
+    for bad in ([1, 2, 3], [0, 2, 2, 5], [0, 3, 1, 5], [0, 8]):
+        with pytest.raises(ValueError, match="members_a"):
+            _kernels.profile_by_row_maxima(np.array(bad), gam_b, 3, 4)
+    for bad in ([], [-1, 0, 2], [0, 2, 2]):
+        with pytest.raises(ValueError, match="gam_b"):
+            _kernels.profile_by_row_maxima(members, np.array(bad, dtype=np.int64), 3, 4)
+    with pytest.raises(ValueError, match="must hold integers"):
+        _kernels.profile_by_row_maxima(members.astype(float), gam_b, 3, 4)
+    assert _kernels.profile_by_row_maxima(members, gam_b, 3, 0).tolist() == []

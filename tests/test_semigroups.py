@@ -17,14 +17,21 @@ from gamma4.semigroups import (
 )
 
 
+def gaps(s: FormalSemigroup) -> tuple[int, ...]:
+    """The gaps of ``s``: the non-members below its conductor."""
+    is_gap = np.ones(s.conductor, dtype=bool)
+    is_gap[s.members] = False
+    return tuple(np.flatnonzero(is_gap).tolist())
+
+
 def test_from_generators_frozen_values():
     s = FormalSemigroup.from_generators(2, 11)
-    assert s.gaps == (1, 3, 5, 7, 9)
+    assert gaps(s) == (1, 3, 5, 7, 9)
     assert s.genus == 5
     assert FormalSemigroup.from_generators(5, 26).genus == 50
-    assert FormalSemigroup.from_generators(2, 3).gaps == (1,)
+    assert gaps(FormalSemigroup.from_generators(2, 3)) == (1,)
     assert FormalSemigroup.from_generators(3, 5).elements == (0, 3, 5, 6)
-    assert FormalSemigroup.from_generators(5, 6).gaps == (
+    assert gaps(FormalSemigroup.from_generators(5, 6)) == (
         1, 2, 3, 4, 7, 8, 9, 13, 14, 19,
     )
 
@@ -67,11 +74,11 @@ def test_vi_frozen_values():
 
 
 def test_from_vi_examples():
-    assert FormalSemigroup.from_vi([1, 0]).gaps == (1,)
-    assert FormalSemigroup.from_vi([2, 1, 1, 1, 0]).gaps == (1, 2, 4, 7)
+    assert gaps(FormalSemigroup.from_vi([1, 0])) == (1,)
+    assert gaps(FormalSemigroup.from_vi([2, 1, 1, 1, 0])) == (1, 2, 4, 7)
     assert FormalSemigroup.from_vi([0]) == UNKNOT_SEMIGROUP
     # Extra trailing zeros are tolerated.
-    assert FormalSemigroup.from_vi([1, 0, 0, 0]).gaps == (1,)
+    assert gaps(FormalSemigroup.from_vi([1, 0, 0, 0])) == (1,)
 
 
 @pytest.mark.parametrize(
@@ -129,10 +136,10 @@ def test_enumerating_agrees_with_bruteforce(ab, k):
 def test_structural_invariants(ab):
     s = FormalSemigroup.from_generators(*ab)
     g = s.genus
-    assert len(s.gaps) == g
-    assert all(0 <= x < 2 * g for x in s.gaps)
+    assert len(gaps(s)) == g
+    assert all(0 <= x < 2 * g for x in gaps(s))
     # Symmetry: exactly one of s, 2g-1-s is a gap.
-    gapset = set(s.gaps)
+    gapset = set(gaps(s))
     assert all((x in gapset) != (2 * g - 1 - x in gapset) for x in range(2 * g))
     # Enumerating strictly increases and hits the tail formula.
     values = [s.enumerating(k) for k in range(g + 5)]
@@ -202,7 +209,7 @@ def test_queries_return_python_ints():
     for value in (s.genus, s.conductor, s.enumerating(2), s.count_below(6)):
         assert type(value) is int
     assert type(3 in s) is bool
-    assert all(type(x) is int for x in s.vi + s.gaps)
+    assert all(type(x) is int for x in s.vi + gaps(s))
 
 
 @pytest.mark.parametrize(
