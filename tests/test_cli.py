@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import os
 import re
@@ -12,10 +13,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gamma4
 import gamma4.bounds
 import gamma4.cli
 import gamma4.nuplus
@@ -223,7 +226,8 @@ def test_bound_stable_uses_the_cache(tmp_path, capsys):
     assert code == 0
     stored = json.loads(store.read_text())
     assert len(stored) == 5
-    assert stored["-T(2,3) + T(5,6)|vi"] == list(vi_expr(parse("T(5,6) - T(2,3)")))
+    key = f"-T(2,3) + T(5,6)|vi|{gamma4.__version__}"
+    assert stored[key] == list(vi_expr(parse("T(5,6) - T(2,3)")))
     code, warm, _ = run_cli(capsys, *args, "--cache", str(store))
     assert code == 0
     code, plain, _ = run_cli(capsys, *args)
@@ -328,7 +332,7 @@ def test_cache_hits_are_bit_identical(tmp_path, capsys):
     assert cold == plain
     assert warm == plain
     contents = json.loads(store.read_text())
-    assert all(key.endswith("|vi") for key in contents)
+    assert all(key.endswith(f"|vi|{gamma4.__version__}") for key in contents)
     code, out, _ = run_cli(
         capsys, "invariants", "T(2,3) - T(5,6)", "--cache", str(store)
     )
@@ -368,6 +372,26 @@ def test_cache_hits_are_routed_again(tmp_path, capsys):
     code, _, err = run_cli(capsys, *args, "--genus-cap", "2")
     assert code == 3
     assert "cap" in err
+
+
+def test_cache_entries_of_another_version_are_never_hits(tmp_path, capsys):
+    """A profile stored under another version's key, even a wrong one that
+    passes the profile check, is ignored, kept, and joined by this
+    version's own entry."""
+    store = tmp_path / "cache.json"
+    foreign = {"T(2,3)|vi": [2, 1, 0], "T(2,3)|vi|0.0.0": [2, 1, 0]}
+    store.write_text(json.dumps(foreign))
+    args = ("--json", "invariants", "T(2,3)")
+    code, cached, _ = run_cli(capsys, *args, "--cache", str(store))
+    assert code == 0
+    code, plain, _ = run_cli(capsys, *args)
+    assert cached == plain
+    assert json.loads(plain)["results"]["vi"] == [1, 0]
+    stored = json.loads(store.read_text())
+    assert stored == foreign | {
+        f"T(2,3)|vi|{gamma4.__version__}": [1, 0],
+        f"-T(2,3)|vi|{gamma4.__version__}": [0],
+    }
 
 
 # a malformed cache is reported before a malformed expression (the link)
@@ -520,6 +544,22 @@ def test_only_the_front_ends_import_verify():
     assert importers == {"cli", "__init__"}
 
 
+def test_no_json_call_of_the_package_indents():
+    """``json.dumps`` (or ``json.dump``) with ``indent`` runs the standard
+    library's pure-Python encoder; ``--json`` output goes through
+    ``cli._json_text`` instead.  No call in the package passes ``indent``,
+    nor ``**`` keywords that could carry it."""
+    indented = [
+        (path.name, node.lineno)
+        for path in sorted(Path(gamma4.cli.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] in ("dump", "dumps")
+        and any(keyword.arg in ("indent", None) for keyword in node.keywords)
+    ]
+    assert indented == []
+
+
 @pytest.mark.parametrize(
     "contents",
     [
@@ -650,6 +690,57 @@ def test_from_vi_takes_the_cache_profile_rule(value, zeros):
     else:
         with pytest.raises(MalformedSequenceError):
             FormalSemigroup.from_vi(padded)
+
+
+_json_text_chars = st.one_of(
+    st.characters(),
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+)
+_json_scalars = st.one_of(
+    st.text(_json_text_chars, max_size=6),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).flatmap(
+        lambda n: st.sampled_from([n, -n])
+    ),
+    st.floats(),
+    st.fractions(),
+)
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.integers(), max_size=4),
+        st.dictionaries(st.text(_json_text_chars, max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _json_dumps(value, decimal: bool) -> str:
+    """The reference for ``cli._json_text``: the standard library's encoder."""
+    hook = functools.partial(gamma4.cli._fraction_json, decimal=decimal)
+    return json.dumps(value, sort_keys=True, indent=2, default=hook)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_json_trees)
+def test_json_text_matches_json_dumps(value):
+    for decimal in (False, True):
+        assert gamma4.cli._json_text(value, decimal) == _json_dumps(value, decimal)
+
+
+@pytest.mark.parametrize("decimal", [False, True])
+@pytest.mark.parametrize("bad", [np.int64(3), {1, 2}], ids=["int64", "set"])
+def test_json_text_refuses_what_json_dumps_refuses(bad, decimal):
+    payload = {"results": [1, {"value": bad}]}
+    with pytest.raises(TypeError) as reference:
+        _json_dumps(payload, decimal)
+    with pytest.raises(TypeError) as written:
+        gamma4.cli._json_text(payload, decimal)
+    assert str(written.value) == str(reference.value)
 
 
 def test_cache_file_is_canonical_json(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Tests for Alexander polynomials, torsion sequences, and signatures."""
 
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -113,35 +112,46 @@ def _fence_form(p: int, q: int) -> list[list[int]]:
 
 
 def _symmetric_signature(form: list[list[int]]) -> int:
-    """Signature of a symmetric integer matrix by congruence diagonalization."""
+    """Signature of a symmetric integer matrix by fraction-free congruence
+    diagonalization.
+
+    Pivot ``p`` at stage ``k`` contributes its sign, and the trailing block
+    becomes ``(|p| a[i][j] - sign(p) a[i][k] a[k][j]) / |prev|``, a positive
+    multiple of the Schur complement of ``p``, where ``prev`` is the last
+    pivot.  The division is exact (Bareiss), so every entry is an integer
+    (up to sign, a minor of the form), and no fractions are built.  Swaps,
+    mates and skipped null directions act on the trailing indices only, so
+    they keep the division exact.
+    """
     n = len(form)
-    work = [[Fraction(x) for x in row] for row in form]
+    work = [list(row) for row in form]
     sig = 0
+    prev = 1
     for k in range(n):
         if work[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if work[i][i] != 0), None)
             if swap is not None:
-                for row in work:
+                for row in work[k:]:
                     row[k], row[swap] = row[swap], row[k]
                 work[k], work[swap] = work[swap], work[k]
             else:
                 mate = next((i for i in range(k + 1, n) if work[k][i] != 0), None)
                 if mate is None:
                     continue  # zero row/column: null direction, contributes 0
-                for col in range(n):
+                for col in range(k, n):
                     work[k][col] += work[mate][col]
-                for row in work:
+                for row in work[k:]:
                     row[k] += row[mate]
         pivot = work[k][k]
-        sig += 1 if pivot > 0 else -1
-        for i in range(k + 1, n):
-            if work[i][k]:
-                factor = work[i][k] / pivot
-                for j in range(k + 1, n):
-                    work[i][j] -= factor * work[k][j]
-        for i in range(k + 1, n):
-            work[i][k] = Fraction(0)
-            work[k][i] = Fraction(0)
+        sign = 1 if pivot > 0 else -1
+        scale = abs(pivot)
+        sig += sign
+        pivot_row = work[k]
+        for row in work[k + 1 :]:
+            factor = sign * row[k]
+            for j in range(k + 1, n):
+                row[j] = (scale * row[j] - factor * pivot_row[j]) // prev
+        prev = scale
     return sig
 
 
