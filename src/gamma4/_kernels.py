@@ -6,10 +6,8 @@ the tests hold it to the graded invariants of a NumPy doubly-minimal
 elimination, which lives with them.  ``f2_rank`` is the plain F_2 rank of
 Python-int bitsets.  The sieve, signature and profile-grid kernels
 are plain NumPy.  The profile grid ``max_gap_profile`` takes integer arrays
-only and returns int64.  Its long rows loop over blocks of levels outside
-and run starts inside, and run in int32 whenever every input value lies in
-``[0, 2**31)`` (exact there, see its docstring), in int64 otherwise; its
-short profiles run as an int64 gather.  ``profile_by_row_maxima`` reads the
+only and returns int64; it runs as an int64 gather over blocks of levels
+and, inside each, of run starts.  ``profile_by_row_maxima`` reads the
 torsion profile that the grid's inversion gives as the row maxima of a
 counting-function matrix instead: each residue class of its rows modulo a
 shift period of the semigroup is an inverse Monge matrix, so a divide and
@@ -281,12 +279,6 @@ def signature_count(p: int, q: int) -> int:
 
 #: Cells per block of the profile grid: bounds the temporaries of one step.
 GRID_BLOCK_CELLS = 1 << 16
-#: Profiles at least this long are evaluated one run start at a time, on
-#: contiguous slices; shorter ones as a 2-D gather over many run starts.
-#: Must not exceed ``GRID_BLOCK_CELLS``, so that a gather block holds a row.
-#: Near 1000 levels the two cost the same: about 2 us of Python per slice
-#: against about 2.5 ns per cell more for the gather.
-ROW_BLOCK_MIN_LEVELS = 1 << 10
 
 
 def max_gap_profile(gam_a: np.ndarray, gam_b: np.ndarray, v_count: int) -> np.ndarray:
@@ -301,17 +293,10 @@ def max_gap_profile(gam_a: np.ndarray, gam_b: np.ndarray, v_count: int) -> np.nd
     ``gam_b[k + 1] - gam_a[k + 1 + v] <= gam_b[k] - gam_a[k + v]``: the
     maximum over a run is attained at its start, for every ``v``.
 
-    The grid of run starts times levels is evaluated in blocks of at most
-    ``GRID_BLOCK_CELLS`` cells, never one level at a time: one run start
-    times a contiguous slice of levels when ``v_count`` reaches
-    ``ROW_BLOCK_MIN_LEVELS``, otherwise as many run starts as fit times
-    every level.  The rows loop over blocks of levels outside and run
-    starts inside, so each run start costs one subtraction and one maximum
-    over the block of ``out`` at hand.  They run in int32 when every
-    value of ``gam_a`` and ``gam_b`` lies in ``[0, 2**31)``, in int64
-    otherwise: each cell ``top - gam_a[j]`` then lies in ``(-2**31, 2**31)``,
-    so int32 is exact.  The gather path always runs in int64, and the
-    result is always int64.
+    The grid of run starts times levels is evaluated as a 2-D int64 gather
+    in blocks of at most ``GRID_BLOCK_CELLS`` cells: blocks of at most
+    ``GRID_BLOCK_CELLS`` levels outside, and inside them as many run starts
+    as fit times every level of the block.
 
     Both arrays pass ``int64_array``, so float, bool, object and uint64
     input raises ``ValueError`` instead of being truncated or wrapped.
@@ -330,25 +315,15 @@ def max_gap_profile(gam_a: np.ndarray, gam_b: np.ndarray, v_count: int) -> np.nd
     out = gam_b[0] - gam_a[:v_count]
     starts = np.flatnonzero(gam_b[1:] != gam_b[:-1] + 1) + 1
     tops = gam_b[starts]
-    if v_count >= ROW_BLOCK_MIN_LEVELS:
-        # gam_a is increasing, so its ends bound it.
-        fits = 0 <= min(gam_a[0], gam_b.min()) and max(gam_a[-1], gam_b.max()) < 1 << 31
-        cell = np.int32 if fits else np.int64
-        gam_a = gam_a.astype(cell, copy=False)
-        out = out.astype(cell, copy=False)
-        pairs = list(zip(starts.tolist(), tops.tolist()))
-        for v0 in range(0, v_count, GRID_BLOCK_CELLS):
-            v1 = min(v0 + GRID_BLOCK_CELLS, v_count)
-            part = out[v0:v1]
-            for k, top in pairs:
-                np.maximum(part, top - gam_a[k + v0 : k + v1], out=part)
-        return out.astype(np.int64, copy=False)
-    levels = np.arange(v_count, dtype=np.int64)
-    rows = GRID_BLOCK_CELLS // v_count
-    for lo in range(0, starts.shape[0], rows):
-        ks = starts[lo : lo + rows, None]
-        block = tops[lo : lo + rows, None] - gam_a[ks + levels]
-        np.maximum(out, block.max(axis=0), out=out)
+    width = min(v_count, GRID_BLOCK_CELLS)
+    rows = GRID_BLOCK_CELLS // width
+    for v0 in range(0, v_count, width):
+        levels = np.arange(v0, min(v0 + width, v_count), dtype=np.int64)
+        part = out[v0 : v0 + width]
+        for lo in range(0, starts.shape[0], rows):
+            ks = starts[lo : lo + rows, None]
+            block = tops[lo : lo + rows, None] - gam_a[ks + levels]
+            np.maximum(part, block.max(axis=0), out=part)
     return out
 
 

@@ -20,6 +20,7 @@ All arithmetic is exact; rationals only ever appear as `fractions.Fraction`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,12 +91,14 @@ def _table(sigma: int, back_profile: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def upsilon_torus(p: int, q: int) -> int:
     """Value of the upsilon invariant at its midpoint for a positive T(p, q).
 
     The torsion profile comes from the semigroup of ``T(p, q)``; the
     ``oracles/semigroup-profiles`` check holds it to the Alexander-polynomial
-    profile ``torus.vi_lspace``.
+    profile ``torus.vi_lspace``.  Memoised per process, keyed by argument
+    type too; an exception is not cached.
     """
     return -t_from_profile(FormalSemigroup.from_generators(p, q).vi)
 

@@ -86,18 +86,11 @@ class KnotExpression:
         )
         return KnotExpression(kept)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.terms
-
     def __iter__(self) -> Iterator[tuple[TorusKnot, int]]:
         return iter(self.terms)
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def as_dict(self) -> dict[TorusKnot, int]:
-        return dict(self.terms)
 
     @property
     def total_genus(self) -> int:

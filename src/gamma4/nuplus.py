@@ -77,6 +77,15 @@ term as written and runs graded Smith normal form at every level
 (``cfk.vi_sequence``).  The two are independent algorithms, and the
 oracle is the cross-check for every shortcut above.
 
+Every knot's two-generator semigroup comes from one per-process store,
+``_semigroup``, which the router, the generator budget and the piece cache
+all read: a semigroup is frozen and its members read-only, so each knot's
+is built once and shared.  The store is bounded by the members it holds,
+``SEMIGROUP_STORE_MEMBERS`` over all its entries (about 1 MB of int64),
+not by its entry count: a few genus-10^5 sides would hold tens of MB under
+an entry bound.  It drops its oldest entries first to make room, and a
+semigroup with more members than the bound is returned but never held.
+
 Both paths take their staircases and duals from one piece cache,
 ``_piece``, an ``lru_cache`` keyed by ``(knot, mirrored)`` and bounded by
 ``PIECE_CACHE_SIZE`` entries: complexes are immutable, so a piece is
@@ -117,6 +126,10 @@ DEFAULT_GENUS_CAP = 60
 #: Entries the piece cache ``_piece`` keeps, one staircase or dual per
 #: ``(knot, mirrored)``: a family over a few knots needs two per knot.
 PIECE_CACHE_SIZE = 64
+
+#: Members the semigroup store ``_semigroup`` holds over all its entries,
+#: about 1 MB of int64.
+SEMIGROUP_STORE_MEMBERS = 1 << 17
 
 #: Hard ceiling on the number of generators the direct tensor path may
 #: allocate.  The genus cap alone does not bound the product of staircase
@@ -295,9 +308,46 @@ def _factor_classes(part: KnotExpression) -> list[tuple[TorusKnot, int]]:
     return classes
 
 
+class _SemigroupStore:
+    """Knot semigroups by knot, oldest first, holding at most ``limit`` members.
+
+    A semigroup is frozen and its members read-only, so every caller may
+    share one.  A miss builds the semigroup and stores it, first dropping
+    the oldest entries until its members fit; one with more than ``limit``
+    members is returned but not held.  Distinct knots of small genus are
+    few, so the bound caps the entries too: 2**17 members hold at most 946
+    (every knot of genus up to 255).  The store takes no lock; the package
+    runs on one thread.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.members = 0
+        self.entries: dict[TorusKnot, FormalSemigroup] = {}
+
+    def get(self, knot: TorusKnot) -> FormalSemigroup:
+        held = self.entries.get(knot)
+        if held is not None:
+            return held
+        semigroup = FormalSemigroup.from_generators(knot.p, knot.q)
+        if semigroup.genus <= self.limit:
+            while self.members + semigroup.genus > self.limit:
+                self.members -= self.entries.pop(next(iter(self.entries))).genus
+            self.entries[knot] = semigroup
+            self.members += semigroup.genus
+        return semigroup
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.members = 0
+
+
+_SEMIGROUPS = _SemigroupStore(SEMIGROUP_STORE_MEMBERS)
+
+
 def _semigroup(knot: TorusKnot) -> FormalSemigroup:
-    """The two-generator semigroup of ``knot``."""
-    return FormalSemigroup.from_generators(knot.p, knot.q)
+    """The two-generator semigroup of ``knot``, from the semigroup store."""
+    return _SEMIGROUPS.get(knot)
 
 
 def _infimal_fold(factors: list[FormalSemigroup]) -> FormalSemigroup:

@@ -15,6 +15,8 @@ surface of the closed (p, q) braid by exact congruence over the rationals.
 
 from __future__ import annotations
 
+import functools
+
 from . import _kernels
 from .expressions import KnotExpression, TorusKnot, torus_knot
 
@@ -80,11 +82,13 @@ def vi_lspace(p: int, q: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def signature(p: int, q: int) -> int:
     """Signature of the positive torus knot T(p, q) (even, non-positive).
 
     A lattice-point count (see the kernel docstring), held by property
-    tests to the fence Seifert matrix reference kept with them.
+    tests to the fence Seifert matrix reference kept with them.  Memoised
+    per process, keyed by argument type too; an exception is not cached.
     """
     knot = torus_knot(p, q)
     if knot is None:

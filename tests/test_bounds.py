@@ -18,8 +18,10 @@ from gamma4.bounds import (
     upsilon_expr,
     upsilon_torus,
 )
-from gamma4.expressions import mirror, multiply, parse
+from gamma4.expressions import InvalidKnotError, mirror, multiply, parse
 from gamma4.nuplus import hom_wu_nu_plus, t_invariant, vi_expr
+from gamma4.semigroups import NotCoprimeError
+from gamma4.torus import signature
 from gamma4.verify import SAMPLE_FAMILY
 
 HEADLINE = parse("T(2,3) - T(5,6)")
@@ -62,6 +64,43 @@ def test_nu_plus_bound_values():
     assert report(parse("T(3,-5)")).nu_plus_bound == 0
     assert report(parse("T(2,-3)")).nu_plus_bound == 0
     assert report(parse("")).nu_plus_bound == 0
+
+
+#: ``(p, q)`` with the value or the exception of ``signature`` and of
+#: ``upsilon_torus``: non-coprime, non-positive, ``T(1, q)``, a float and
+#: two knots.
+MEMO_CASES = [
+    ((4, 6), InvalidKnotError, NotCoprimeError),
+    ((6, 4), InvalidKnotError, NotCoprimeError),
+    ((0, 3), InvalidKnotError, ValueError),
+    ((3, 0), InvalidKnotError, ValueError),
+    ((-2, 3), InvalidKnotError, ValueError),
+    ((2, -3), InvalidKnotError, ValueError),
+    ((1, 7), 0, 0),
+    ((7, 1), 0, 0),
+    ((1, 1), 0, 0),
+    ((2, 3), -2, -1),
+    ((2.0, 3), TypeError, TypeError),  # not the cached value of (2, 3)
+    ((3, 2), -2, -1),
+]
+
+
+@pytest.mark.parametrize("memo, column", [(signature, 1), (upsilon_torus, 2)])
+def test_torus_memos_are_bounded_and_keep_every_outcome(memo, column):
+    """Each call, first or repeated, gives the value or raises the exception
+    the unmemoised function did; exceptions are not cached."""
+    assert 0 < memo.cache_info().maxsize < 1 << 16
+    memo.cache_clear()
+    for _ in range(2):
+        for case in MEMO_CASES:
+            args, want = case[0], case[column]
+            if isinstance(want, int):
+                assert memo(*args) == want, args
+            else:
+                with pytest.raises(want) as raised:
+                    memo(*args)
+                assert type(raised.value) is want, args
+    assert memo.cache_info().currsize == sum(isinstance(c[column], int) for c in MEMO_CASES)
 
 
 def test_upsilon_values():

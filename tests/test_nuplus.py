@@ -22,8 +22,9 @@ from gamma4.cfk import (
     vi_by_rank,
     vi_sequence,
 )
-from gamma4.expressions import KnotExpression, mirror, parse
+from gamma4.expressions import KnotExpression, TorusKnot, mirror, parse
 from gamma4.nuplus import (
+    SEMIGROUP_STORE_MEMBERS,
     UnsupportedExpressionError,
     _infimal_fold,
     _invert_profile,
@@ -446,6 +447,100 @@ def test_tensor_cache_holds_one_complex(monkeypatch):
     assert gamma4.nuplus._tensor_of_pieces.cache_info().currsize == 1
 
 
+STORE = gamma4.nuplus._SEMIGROUPS
+
+
+def test_semigroup_store_returns_one_object_per_knot():
+    assert STORE.limit == SEMIGROUP_STORE_MEMBERS
+    STORE.clear()
+    knot = TorusKnot(3, 5)
+    first = gamma4.nuplus._semigroup(knot)
+    assert gamma4.nuplus._semigroup(knot) is first
+    assert first == FormalSemigroup.from_generators(3, 5)
+    assert STORE.members == first.genus == 4
+
+
+def test_semigroup_store_holds_at_most_its_bound():
+    """The members held never exceed the bound, and room is made by
+    dropping the oldest entries first."""
+    store = gamma4.nuplus._SemigroupStore(12)
+    # genera 1, 2, 3, 3, 4, 4, 6, 10, 1
+    knots = [TorusKnot(2, 3), TorusKnot(2, 5), TorusKnot(3, 4), TorusKnot(2, 7),
+             TorusKnot(3, 5), TorusKnot(2, 9), TorusKnot(4, 5), TorusKnot(5, 6),
+             TorusKnot(2, 3)]
+    held = []
+    for knot in knots:
+        held.append(knot)
+        while sum(k.genus for k in held) > 12:
+            held.pop(0)
+        store.get(knot)
+        assert list(store.entries) == held
+        assert store.members == sum(s.genus for s in store.entries.values()) <= 12
+    assert held == [TorusKnot(5, 6), TorusKnot(2, 3)]
+
+
+def test_semigroup_store_returns_but_does_not_hold_an_oversized_semigroup():
+    store = gamma4.nuplus._SemigroupStore(5)
+    small = store.get(TorusKnot(2, 5))
+    large = store.get(TorusKnot(5, 6))
+    assert large.genus == 10 and large == FormalSemigroup.from_generators(5, 6)
+    assert store.get(TorusKnot(5, 6)) is not large
+    assert list(store.entries) == [TorusKnot(2, 5)] and store.members == 2
+    assert store.get(TorusKnot(2, 5)) is small
+    # at the real bound: genus 2**17 + 1
+    knot = TorusKnot(2, 2 * SEMIGROUP_STORE_MEMBERS + 3)
+    assert gamma4.nuplus._semigroup(knot).genus == SEMIGROUP_STORE_MEMBERS + 1
+    assert knot not in STORE.entries
+    assert STORE.members <= SEMIGROUP_STORE_MEMBERS
+
+
+def test_route_and_its_mirror_build_each_knot_once(monkeypatch):
+    built = []
+    build = FormalSemigroup.from_generators
+
+    def counted(a, b):
+        built.append(TorusKnot(a, b))
+        return build(a, b)
+
+    monkeypatch.setattr(FormalSemigroup, "from_generators", staticmethod(counted))
+    STORE.clear()
+    gamma4.nuplus._piece.cache_clear()
+    # closed form, then a complex route whose tensor is built
+    for text in ("T(2,3) - T(5,6)", "3*T(2,5) - T(3,4) - T(2,3)"):
+        expr = parse(text)
+        route(expr), route(mirror(expr))
+        vi_expr(expr), vi_expr(mirror(expr))
+    assert built == [TorusKnot(2, 3), TorusKnot(5, 6), TorusKnot(2, 5), TorusKnot(3, 4)]
+
+
+closed_form_pairs = st.tuples(
+    st.sampled_from(ONE_SIDED_KNOTS + [TorusKnot(7, 9), TorusKnot(3, 22)]),
+    st.sampled_from(ONE_SIDED_KNOTS + [TorusKnot(2, 41), TorusKnot(9, 10)]),
+).map(lambda ab: KnotExpression.from_terms([(ab[0], 1), (ab[1], -1)]))
+
+
+@given(st.lists(closed_form_pairs | budgeted_expressions(), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_profiles_do_not_depend_on_the_store(exprs):
+    """Each profile from a cold store and cold piece cache equals the same
+    profile read again from warm ones, under the real bound and under one
+    so small that the store keeps evicting."""
+
+    def cold(expr):
+        STORE.clear()
+        gamma4.nuplus._piece.cache_clear()
+        return vi_expr(expr)
+
+    want = [cold(expr) for expr in exprs]
+    assert [vi_expr(expr) for expr in exprs] == want
+    with mock.patch.object(STORE, "limit", 6):
+        STORE.clear()
+        assert [vi_expr(expr) for expr in exprs] == want
+        assert [vi_expr(expr) for expr in exprs] == want
+        assert STORE.members <= 6
+    STORE.clear()
+
+
 def is_closed_under_addition(s: FormalSemigroup) -> bool:
     """Whether ``s`` is a genuine numerical semigroup (sums stay inside).
 
@@ -639,30 +734,28 @@ runs = st.lists(
     runs,
     runs,
     st.integers(min_value=1, max_value=40),
-    # (GRID_BLOCK_CELLS, ROW_BLOCK_MIN_LEVELS): small blocks, both paths
-    st.sampled_from([(3, 1), (64, 8), (64, 64), (1 << 16, 1 << 10)]),
-    # added to both arrays: rows in int32, near its top or across it, or
-    # in int64
+    # GRID_BLOCK_CELLS: one cell, blocks of levels, blocks of run starts
+    st.sampled_from([1, 3, 64, 1 << 16]),
+    # added to both arrays: cells near the top of int32, across it, or in
+    # int64 only
     st.sampled_from([0, 2**31 - 64, 2**40]),
 )
 @settings(max_examples=150, deadline=None)
-def test_max_gap_profile_matches_every_cell(b_runs, a_runs, v_count, block, offset):
-    cells, row_min = block
+def test_max_gap_profile_matches_every_cell(b_runs, a_runs, v_count, cells, offset):
     gam_b = np.array(increasing_with_runs(b_runs), dtype=np.int64) + offset
     head = increasing_with_runs(a_runs)
     need = len(gam_b) + v_count - 1
     gam_a = np.array(head + list(range(head[-1] + 1, head[-1] + 1 + need)), dtype=np.int64)
     gam_a += offset
-    with mock.patch.object(_kernels, "GRID_BLOCK_CELLS", cells), mock.patch.object(
-        _kernels, "ROW_BLOCK_MIN_LEVELS", row_min
-    ):
+    with mock.patch.object(_kernels, "GRID_BLOCK_CELLS", cells):
         got = _kernels.max_gap_profile(gam_a, gam_b, v_count)
     assert got.dtype == np.int64
     assert got.tolist() == max_gap_reference(gam_a, gam_b, v_count)
 
 
-def test_max_gap_profile_long_profile_uses_rows():
-    # past ROW_BLOCK_MIN_LEVELS levels, and past one block of levels per row
+def test_max_gap_profile_long_profile_spans_level_blocks():
+    # 1 500 levels in one block, then in fifteen blocks of 100 levels times
+    # one run start
     a = FormalSemigroup.from_generators(3, 1000)
     b = FormalSemigroup.from_generators(2, 7)
     v_count = 1500
@@ -672,11 +765,17 @@ def test_max_gap_profile_long_profile_uses_rows():
     assert _kernels.max_gap_profile(gam_a, gam_b, v_count).tolist() == want
     with mock.patch.object(_kernels, "GRID_BLOCK_CELLS", 100):
         assert _kernels.max_gap_profile(gam_a, gam_b, v_count).tolist() == want
+    # a closed-form grid of more levels than a block holds cells
+    a, b = FormalSemigroup.from_generators(2, 1001), FormalSemigroup.from_generators(2, 5)
+    want = nu_profile_full_grid(a, b).tolist()
+    assert len(want) == 250
+    with mock.patch.object(_kernels, "GRID_BLOCK_CELLS", 64):
+        assert nu_profile(a, b).tolist() == want
 
 
-def test_max_gap_profile_rows_across_int32():
-    # gam_a runs across 2**31, so the rows run in int64.  With gam_b near 0
-    # the cells fall below -2**31 as well, where int32 would wrap.
+def test_max_gap_profile_across_int32():
+    # gam_a runs across 2**31.  With gam_b near 0 the cells fall below
+    # -2**31 as well, where int32 would wrap.
     a = FormalSemigroup.from_generators(3, 1000)
     b = FormalSemigroup.from_generators(2, 7)
     v_count = 1500
