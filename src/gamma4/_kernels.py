@@ -21,10 +21,12 @@ a complex, a semigroup, a staircase or the profile grid passes one gate,
 uint64 bit rows, and ``column_bitsets`` builds the Python-int column
 bitsets that ``graded_snf`` reduces straight from a differential's arrows.
 ``graded_snf`` has one set-up path: its caller, which runs one pattern
-under many gradings, builds the bitsets once and passes them as
-``bits=...``, with each grading's grade classes, built from generators it
-keeps grouped by grading, as ``classes=...``; ``graded_snf`` unpacks and
-sorts nothing.
+under many gradings, builds the bitsets, the nonzero columns and a
+grouping of the generators by grading once, and passes them as
+``bits=...``, ``heads=...`` and ``groups=...``, with each grading's first
+pivots, found in one vectorised pass over the arrows, as ``first=...``.
+``graded_snf`` unpacks nothing; it sorts the columns once, and merges the
+groups into grade masks only when a column needs a second pivot search.
 
 The central kernel diagonalizes differentials over the one-variable
 polynomial ring with mod-2 coefficients.  Because the differential is
@@ -40,12 +42,12 @@ a column whose generator is already a pivot row is skipped, as it would
 reduce to zero.
 
 Every entry degree is non-negative (``cfk.homology_over_polynomial_ring``
-checks the shifted exponents of each level), so an entry (i, j) has
-``grading[i] >= grading[j] - 1``.  Columns are reduced by descending
-grading, so a column XORed into column j has grading at least
-``grading[j]`` and keeps that bound.  ``graded_snf`` therefore scans the
-grading classes of a column upward from ``grading[j] - 1``; the classes it
-skips hold no entry.
+checks the shifted exponents of each level, and ``graded_snf`` each first
+pivot), so an entry (i, j) has ``grading[i] >= grading[j] - 1``.  Columns
+are reduced by descending grading, so a column XORed into column j has
+grading at least ``grading[j]`` and keeps that bound.  A search after an
+XOR therefore scans the grade masks upward from ``grading[j] - 1``; the
+masks it skips hold no entry.
 """
 
 from __future__ import annotations
@@ -135,6 +137,12 @@ def f2_rank(vectors) -> int:
 # ---------------------------------------------------------------------------
 
 
+_NO_ENTRY = (
+    "no entry in the grade window: the pattern is not homogeneous with "
+    "non-negative entry degrees"
+)
+
+
 def _first_extreme(bits: int, classes) -> int:
     """Lowest index set in ``bits`` within the first of ``classes`` it meets.
 
@@ -146,10 +154,18 @@ def _first_extreme(bits: int, classes) -> int:
         hit = bits & mask
         if hit:
             return (hit & -hit).bit_length() - 1
-    raise AssertionError(
-        "no entry in the grade window: the pattern is not homogeneous with "
-        "non-negative entry degrees"
-    )
+    raise AssertionError(_NO_ENTRY)
+
+
+def _grade_masks(grading: np.ndarray, groups) -> tuple[list[int], list[int]]:
+    """The distinct values of ``grading``, ascending, and the row mask of
+    the indices that carry each, merged from ``groups``."""
+    reps, masks = groups
+    merged: dict[int, int] = {}
+    for value, mask in zip(grading[reps].tolist(), masks):
+        merged[value] = merged.get(value, 0) | mask
+    values = sorted(merged)
+    return values, [merged[value] for value in values]
 
 
 def graded_snf(
@@ -157,40 +173,48 @@ def graded_snf(
     grading: np.ndarray,
     *,
     bits: tuple[int, ...],
-    classes: list[tuple[int, list[int], int]],
+    heads: np.ndarray,
+    first: np.ndarray,
+    groups: tuple[np.ndarray, tuple[int, ...]],
 ):
     """Diagonalize a graded mod-2 differential; returns pivot data.
 
     ``bits`` are the column bitsets of the nonzero pattern, from
     ``column_bitsets``; entry degrees are implied by ``grading``.
-    ``classes`` are the grade classes of ``grading``, by descending
-    grading: each a triple of the grading, the indices that carry it in
-    increasing order, and the mask of those indices; they must be exactly
-    those.  A caller that reduces one pattern under many gradings builds
-    the bitsets once, and the classes from generators it keeps grouped by
-    grading, so nothing is unpacked or sorted here.  ``rows``, the same
-    pattern as uint64 bit rows from ``pack_bit_rows``, is not read: it
-    stays the first argument so that a profiler can size the matrix from
-    it.  Returns int64 arrays ``(pivot_row, pivot_col, pivot_degree)``.
+    ``heads`` are the nonzero columns in increasing order, and ``first``
+    holds each one's first pivot: its row of least grading, lowest index
+    first.  ``groups`` partition the indices into groups of equal grading:
+    an int64 array with one index of each group, and a tuple with the row
+    mask of each.  All must be exactly that.  A caller that reduces one
+    pattern under many gradings builds the bitsets, the heads and the
+    groups once and finds the first pivots of each grading in one
+    vectorised pass; the grade masks are merged from the groups only once
+    a column needs a second pivot search, and nothing is unpacked here.
+    ``rows``, the same pattern as uint64 bit rows from ``pack_bit_rows``,
+    is not read: it stays the first argument so that a profiler can size
+    the matrix from it.  Returns int64 arrays ``(pivot_row, pivot_col,
+    pivot_degree)``.
 
     Column reduction with clearing: columns are taken by descending grading,
-    ties by index.  A column's pivot is its row of least grading, lowest
-    index first; while another column already owns that pivot row, its
-    stored reduced column is XORed in.  A column whose generator is already
-    a pivot row is skipped.
+    ties by index, from one stable sort.  A column's pivot is its row of
+    least grading, lowest index first; while another column already owns
+    that pivot row, its stored reduced column is XORed in, and the pivot of
+    what is left is searched in the grade masks.  A column whose generator
+    is already a pivot row is skipped.
 
     Requires every entry (i, j) to have a non-negative degree
     ``(grading[i] - grading[j] + 1) / 2``, and the pattern to square to zero
     mod 2.  The degrees make each XOR a valid column operation: the stored
     column has grading no less than the one it is added to, so the
     coefficient is a non-negative power of U, and no entry of column j ever
-    lies below class ``grading[j] - 1``, where its pivot search starts.
-    ``d^2 = 0`` makes clearing sound: a stored column with pivot row k is a
-    boundary, so, divided by its power of U at row k, it is a cycle of
-    grading ``grading[k]``: ``x_k`` plus rows after k.  Taking that cycle as
-    the basis vector of column k is a unitriangular change of basis that
-    makes column k zero without reducing it.  Without ``d^2 = 0`` the
-    results are wrong, not refused.
+    lies below class ``grading[j] - 1``, where its pivot search starts.  A
+    first pivot below that class raises ``AssertionError``.  ``d^2 = 0``
+    makes clearing sound: a stored column with pivot row k is a boundary,
+    so, divided by its power of U at row k, it is a cycle of grading
+    ``grading[k]``: ``x_k`` plus rows after k.  Taking that cycle as the
+    basis vector of column k is a unitriangular change of basis that makes
+    column k zero without reducing it.  Without ``d^2 = 0`` the results are
+    wrong, not refused.
 
     The pivots may differ from those of a doubly-minimal elimination, but
     the graded invariants do not: the rank, the ``(degree, row grading)``
@@ -202,30 +226,36 @@ def graded_snf(
     if n == 0:
         return empty, empty.copy(), empty.copy()
     g = np.asarray(grading, dtype=np.int64)
-    values = [value for value, _, _ in reversed(classes)]  # ascending
-    ascending = [mask for _, _, mask in reversed(classes)]  # one row mask per grading
+    head_grading = g[heads]
+    if np.count_nonzero(g[first] < head_grading - 1):
+        raise AssertionError(_NO_ENTRY)
+    order = (-head_grading).argsort(kind="stable")
 
     reduced = [0] * n  # pivot row -> its reduced column; 0 for no pivot
+    values = ascending = None  # the grade masks, merged on first need
     piv_i: list[int] = []
     piv_j: list[int] = []
-    for value, members, _ in classes:
-        # The grade window: a column of grading g holds rows of grading >= g - 1.
-        window = ascending[bisect_left(values, value - 1) :]
-        for j in members:
-            column = bits[j]
-            if not column or reduced[j]:
-                continue  # zero column, or cleared: its generator is a pivot row
-            while True:
-                i = _first_extreme(column, window)
-                other = reduced[i]
-                if not other:
-                    reduced[i] = column
-                    piv_i.append(i)
-                    piv_j.append(j)
-                    break
-                column ^= other
-                if not column:
-                    break
+    for j, i in zip(heads[order].tolist(), first[order].tolist()):
+        if reduced[j]:
+            continue  # cleared: its generator is a pivot row
+        column = bits[j]
+        window = None
+        while True:
+            other = reduced[i]
+            if not other:
+                reduced[i] = column
+                piv_i.append(i)
+                piv_j.append(j)
+                break
+            column ^= other
+            if not column:
+                break
+            if window is None:
+                if values is None:
+                    values, ascending = _grade_masks(g, groups)
+                # A column of grading g holds rows of grading >= g - 1.
+                window = ascending[bisect_left(values, int(g[j]) - 1) :]
+            i = _first_extreme(column, window)
     piv_row = np.array(piv_i, dtype=np.int64)
     piv_col = np.array(piv_j, dtype=np.int64)
     return piv_row, piv_col, (g[piv_row] - g[piv_col] + 1) >> 1

@@ -23,8 +23,8 @@ because arrows are Maslov-homogeneous, every matrix entry is a forced
 monomial, and the reduction is a column reduction with clearing on bitsets
 (see ``_kernels``).  Clearing needs ``d^2 = 0``, which every construction
 checks.  Each complex packs its bit rows, builds its Python-int column
-bitsets straight from its arrows, and groups its generators by their two
-gradings, each once, on first use.
+bitsets straight from its arrows, notes where each source's arrows start,
+and groups its generators by their two gradings, each once, on first use.
 
 The torsion invariants ``V_s`` drop out of the homology of the subcomplexes
 at each filtration level, making this module the independent oracle for all
@@ -33,13 +33,16 @@ arrow exponents but never changes which generators an arrow joins, and it
 preserves all three invariants.  So level homology is read off the parent's
 packed pattern and its bitsets with shifted gradings, with no subcomplex
 built or checked and no bitsets built again; ``subcomplex_at_level``
-builds that subcomplex explicitly, validated, as the reference.  A level
-shifts the grading of every generator of a ``(maslov, alexander)`` group
-alike, so its grade classes, the generators of each grading in index
-order with their row mask, are merged from the groups with no sort of the
-generators, and the elimination and the tower locator both read them: the
-locator takes the graded dimensions from the class sizes, in one scan
-down from the top grading.
+builds that subcomplex explicitly, validated, as the reference.  A
+level's set-up is one vectorised pass: each column's first pivot, its
+target of least grading and lowest index, is a minimum over its arrows,
+which are sorted by source.  A level shifts the grading of every
+generator of a ``(maslov, alexander)`` group alike, so the grade masks
+that a second pivot search reads are merged from the groups, and only on
+a level where some column is XORed.  The tower locator reads the pivot
+counts alone: in grading ``m`` the free part has the generators, less the
+pivot rows, less the pivot columns, of gradings ``>= m`` and the parity
+of ``m``.
 
 Two independent algorithms give the profile ``V_0, V_1, ...``.
 ``vi_sequence`` reduces each level completely and locates its tower;
@@ -58,7 +61,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -83,6 +85,18 @@ class _Pattern(NamedTuple):
 
     rows: np.ndarray  # uint64 bit rows: bit src of row tgt set per arrow
     bits: tuple[int, ...]  # column bitsets, from the arrows: bit tgt of column src
+    heads: np.ndarray  # the distinct arrow sources, increasing: the nonzero columns
+    starts: np.ndarray  # where each head's arrows start among the sorted arrows
+    counts: np.ndarray  # how many arrows each head has
+
+
+class _Groups(NamedTuple):
+    """The generators grouped by ``(maslov, alexander)``, in order of first
+    appearance: a level shifts the grading of every member of a group
+    alike."""
+
+    reps: np.ndarray  # the first member of each group
+    masks: tuple[int, ...]  # the row mask of each group's members
 
 
 #: The array fields of a complex, in constructor order.
@@ -191,21 +205,34 @@ class BifilteredComplex:
 
     @cached_property
     def _pattern(self) -> _Pattern:
-        """The packed bit rows and the column bitsets, cached outside the
-        dataclass fields; the bitsets come from the arrows, not the rows."""
+        """The packed bit rows, the column bitsets and the runs of arrows by
+        source, cached outside the dataclass fields; the bitsets come from
+        the arrows, not the rows."""
         rows = _kernels.pack_bit_rows(len(self), np.stack((self.tgt, self.src), axis=1))
         rows.setflags(write=False)
-        return _Pattern(rows, _kernels.column_bitsets(len(self), self.src, self.tgt))
+        starts = np.flatnonzero(np.diff(self.src, prepend=-1))
+        counts = np.diff(starts, append=len(self.src))
+        return _Pattern(
+            rows,
+            _kernels.column_bitsets(len(self), self.src, self.tgt),
+            self.src[starts],
+            starts,
+            counts,
+        )
 
     @cached_property
-    def _groups(self) -> tuple[tuple[int, int, list[int], int], ...]:
-        """The generators grouped by ``(maslov, alexander)``: each group's
-        two gradings, its members in index order and their row mask.  A
-        level shifts the grading of every member of a group alike."""
-        members: dict[tuple[int, int], list[int]] = {}
+    def _groups(self) -> _Groups:
+        """The generators grouped by ``(maslov, alexander)``, with one
+        representative and the row mask of each group."""
+        masks: dict[tuple[int, int], int] = {}
+        reps: list[int] = []
         for k, key in enumerate(zip(self.maslov.tolist(), self.alexander.tolist())):
-            members.setdefault(key, []).append(k)
-        return tuple((m, a, ks, sum(1 << k for k in ks)) for (m, a), ks in members.items())
+            mask = masks.get(key)
+            if mask is None:
+                reps.append(k)
+                mask = 0
+            masks[key] = mask | 1 << k
+        return _Groups(np.array(reps, dtype=np.int64), tuple(masks.values()))
 
     @cached_property
     def _targets(self) -> tuple[int, ...]:
@@ -390,67 +417,63 @@ class HomologySummary:
         return self.free_rank == 0 and not self.torsion
 
 
-def _level_classes(
-    complex_: BifilteredComplex, level: int | None
-) -> list[tuple[int, list[int], int]]:
-    """The grade classes of ``complex_`` at ``level``, from its groups, in
-    the form ``_kernels.graded_snf`` takes: by descending grading, each the
-    grading ``M(x) - 2 max(0, A(x) - level)``, its generators in index
-    order and their row mask.  ``level=None`` keeps the gradings ``M``."""
-    top = math.inf if level is None else level
-    parts: dict[int, list] = {}  # grading -> [mask, members of each group]
-    for m, a, members, mask in complex_._groups:
-        if a > top:
-            m -= 2 * (a - top)
-        part = parts.get(m)
-        if part is None:
-            parts[m] = [mask, members]
-        else:
-            part[0] |= mask
-            part.append(members)
-    classes = []
-    for value in sorted(parts, reverse=True):
-        part = parts[value]
-        members = part[1]
-        if len(part) > 2:  # several groups: merge their members in index order
-            members = []
-            for ks in part[1:]:
-                members += ks
-            members.sort()
-        classes.append((value, members, part[0]))
-    return classes
+def _tower_grading(grading: np.ndarray, piv_row: np.ndarray, piv_col: np.ndarray) -> int:
+    """Top grading of the single free summand, from the pivot counts.
 
-
-def _tower_grading(
-    classes: list[tuple[int, list[int], int]], pivot_col_gradings: list[int], torsion
-) -> int:
-    """Top grading of the single free summand, by graded dimension count.
-
-    In each Maslov grading m the chain space has one dimension per generator
-    with the same parity sitting at or above m, counted from the sizes of
-    the grade ``classes`` (by descending grading); the boundary rank in and
-    out of the grading is read off the pivot column gradings; torsion
-    summands account for finitely many leftover dimensions.  One scan runs
-    down from the top grading, keeping the three counts per parity, and
-    stops at the first grading where a dimension survives beyond the
-    torsion: there the free summand tops out.
+    In grading m the free part has dimension ``free(m)``: the generators,
+    minus the pivot rows, minus the pivot columns, all counted among the
+    gradings ``>= m`` of the parity of m.  The chains in grading m are the
+    generators counted so; the boundary out of m has one dimension per
+    pivot column counted so; and a pivot row counted so is a boundary into
+    m when its column lies above m, and a dimension of its torsion summand
+    otherwise.  A generator that is both a pivot row and a pivot column
+    counts twice.  So each generator adds 1 less the number of pivots it
+    is, only the few that are not exactly one pivot are read, and one scan
+    down from the top grading stops at the first grading where a dimension
+    survives: there the free summand tops out.
     """
-    sizes = {value: len(members) for value, members, _ in classes}
-    pivots = Counter(pivot_col_gradings)
-    # A torsion summand counts +1 from its top down to ``top - 2d``, the
-    # first grading of its parity below it, where it counts -1.
-    spans = Counter(m for _, m in torsion)
-    spans.subtract(m - 2 * d for d, m in torsion)
-    floor = classes[-1][0] - 2 * (max((d for d, _ in torsion), default=0) + 2)
-    chains, boundaries, leftover = [0, 0], [0, 0], [0, 0]
-    for m in range(classes[0][0], floor - 1, -1):
-        parity = m & 1
-        chains[parity] += sizes.get(m, 0)
-        boundaries[parity] += pivots.get(m, 0)
-        leftover[parity] += spans.get(m, 0)
-        if chains[parity] - boundaries[parity] - boundaries[1 - parity] - leftover[parity] >= 1:
+    pivots = np.bincount(np.concatenate((piv_row, piv_col)), minlength=len(grading))
+    alive = (pivots != 1).nonzero()[0]
+    by_grading: dict[int, int] = {}
+    for m, k in zip(grading[alive].tolist(), pivots[alive].tolist()):
+        by_grading[m] = by_grading.get(m, 0) + 1 - k
+    free = [0, 0]
+    for m in sorted(by_grading, reverse=True):
+        free[m & 1] += by_grading[m]
+        if free[m & 1] >= 1:
             return m
     raise AssertionError("free summand not located; this is a bug")
+
+
+def _level_snf(complex_: BifilteredComplex, level: int | None):
+    """The gradings ``M(x) - 2 max(0, A(x) - level)`` of ``complex_`` at
+    ``level`` (``M`` for ``None``) and ``graded_snf``'s pivot triples under
+    them, on the packed pattern of ``complex_``.
+
+    The shifted exponents ``e + shift(src) - shift(tgt)`` are checked to be
+    non-negative, as ``grading(tgt) >= grading(src) - 1``; ``ValueError``
+    otherwise.  Each column's first pivot, its target of least grading and
+    lowest index, comes from one vectorised pass over the arrows, which are
+    sorted by source: the least target grading of each source, then the
+    least target that has it.
+    """
+    pattern = complex_._pattern
+    grading = complex_.maslov
+    if level is not None:
+        grading = grading - 2 * np.maximum(complex_.alexander - level, 0)
+    target = grading[complex_.tgt]
+    least = np.minimum.reduceat(target, pattern.starts)
+    if level is not None and np.count_nonzero(least < grading[pattern.heads] - 1):
+        raise ValueError(f"negative arrow exponent at filtration level {level}")
+    lowest = np.where(target == least.repeat(pattern.counts), complex_.tgt, len(complex_))
+    return grading, _kernels.graded_snf(
+        pattern.rows,
+        grading,
+        bits=pattern.bits,
+        heads=pattern.heads,
+        first=np.minimum.reduceat(lowest, pattern.starts),
+        groups=complex_._groups,
+    )
 
 
 def homology_over_polynomial_ring(
@@ -459,35 +482,20 @@ def homology_over_polynomial_ring(
     """Exact Smith-normal-form homology over the mod-2 polynomial ring.
 
     With ``level=s`` this is the homology of ``subcomplex_at_level(complex_,
-    s)``, read off the packed pattern of ``complex_`` with the gradings
-    ``M(x) - 2 max(0, A(x) - s)``.  The shifted exponents
-    ``e + shift(src) - shift(tgt)`` are checked to be non-negative;
-    ``ValueError`` otherwise.  The level's grade classes come from the
-    grading groups of ``complex_``; ``graded_snf`` reduces by them, and the
-    tower is read off their sizes.
+    s)``, read off the packed pattern of ``complex_`` by ``_level_snf``,
+    which raises ``ValueError`` for a negative shifted exponent.
+    ``graded_snf`` merges grade masks from the grading groups of
+    ``complex_`` only where a column needs a second pivot search, and the
+    tower is read off the pivot counts.
     """
     n = len(complex_)
     if n == 0:
         return HomologySummary(free_rank=0, tower_grading=None, torsion=())
-    pattern = complex_._pattern
-    grading = complex_.maslov
-    if level is not None:
-        shift = np.maximum(complex_.alexander - level, 0)
-        if (complex_.exponent + shift[complex_.src] < shift[complex_.tgt]).any():
-            raise ValueError(f"negative arrow exponent at filtration level {level}")
-        grading = grading - 2 * shift
-    classes = _level_classes(complex_, level)
-    piv_row, piv_col, piv_deg = _kernels.graded_snf(
-        pattern.rows, grading, bits=pattern.bits, classes=classes
-    )
+    grading, (piv_row, piv_col, piv_deg) = _level_snf(complex_, level)
     free_rank = n - 2 * len(piv_row)
     kept = piv_deg >= 1
     torsion = tuple(sorted(zip(piv_deg[kept].tolist(), grading[piv_row[kept]].tolist())))
-    tower = (
-        _tower_grading(classes, grading[piv_col].tolist(), torsion)
-        if free_rank == 1
-        else None
-    )
+    tower = _tower_grading(grading, piv_row, piv_col) if free_rank == 1 else None
     return HomologySummary(free_rank=free_rank, tower_grading=tower, torsion=torsion)
 
 
@@ -510,10 +518,10 @@ def v_invariant(complex_: BifilteredComplex, s: int) -> int:
 def vi_sequence(complex_: BifilteredComplex) -> tuple[int, ...]:
     """V_0, V_1, ... up to and including the first zero.
 
-    Every level reads the same packed pattern, bitsets and grading groups
-    of ``complex_``, built on the first level, and builds only its own
-    grade classes from the groups; the complex's invariants were checked
-    when it was built.
+    Every level reads the same packed pattern, bitsets, arrow runs and
+    grading groups of ``complex_``, built on the first level, and finds
+    only its own first pivots; the complex's invariants were checked when
+    it was built.
     """
     out = []
     bound = max(complex_.alexander.tolist(), default=0) + 1

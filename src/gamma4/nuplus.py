@@ -185,22 +185,29 @@ def nu_plus_v(a: FormalSemigroup, b: FormalSemigroup, v: int) -> int:
     return max(0, ga - gb + best)
 
 
-def _profile_head(a: FormalSemigroup, b: FormalSemigroup) -> tuple[np.ndarray, int]:
-    """``Gamma_B(0 .. g_B)`` and the first zero of ``nu_plus``, that is ``V_0``.
+def _first_zero(a: FormalSemigroup, b: FormalSemigroup) -> int:
+    """The first zero of ``nu_plus``, that is ``V_0``.
 
     ``Gamma_A(j) >= c`` iff ``j >= I_A(c)``, where ``I_A(c)`` counts the
     members of ``a`` below ``c``, so every term ``g_A - g_B + Gamma_B(k) -
     Gamma_A(k + v)`` is at most 0 iff ``v >= I_A(Gamma_B(k) + g_A - g_B) -
-    k``, and the first zero is the largest of these bounds (at least 0, and
-    at most ``g_A`` because ``Gamma_B(k) <= k + g_B``).
+    k``, and the first zero is the largest of these bounds over ``k = 0 ..
+    g_B``, at least 0.  Only the ``k`` with ``0 < Gamma_B(k) + g_A - g_B <
+    2 g_A`` are read: below that window ``I_A`` is 0, and from its top on
+    ``I_A(y) = y - g_A`` while ``Gamma_B(k) <= k + g_B``, so every bound
+    outside it is at most 0.  ``Gamma_B`` increases, so the window is the
+    ``k`` from ``I_B(1 - g_A + g_B)`` to below ``I_B(g_A + g_B)``, and a
+    trivial direction reads none of B's members.
     """
     ga, gb = a.genus, b.genus
-    gam_b = b.enumerating_prefix(gb + 1)
-    targets = gam_b + (ga - gb)
-    below = np.where(
-        targets >= 2 * ga, targets - ga, np.searchsorted(a.members, targets)
-    )
-    return gam_b, max(0, int((below - np.arange(gb + 1)).max()))
+    shift = ga - gb
+    lo = b.count_below(1 - shift)
+    hi = min(b.count_below(2 * ga - shift), gb + 1)
+    if lo >= hi:
+        return 0
+    targets = b.enumerating_prefix(hi)[lo:] + shift
+    below = np.searchsorted(a.members, targets)
+    return max(0, int((below - np.arange(lo, hi)).max()))
 
 
 def _nu_grid(
@@ -223,13 +230,13 @@ def nu_profile(a: FormalSemigroup, b: FormalSemigroup) -> np.ndarray:
     """Vector of ``nu_plus_v(a, b, v)`` for ``v = 0 .. V_0`` (ends at 0).
 
     Only the levels up to the first zero are evaluated; that index comes
-    straight from the counting function of ``a`` (``_profile_head``).
+    straight from the counting function of ``a`` (``_first_zero``).
     ``nu_plus_v`` does not increase in ``v``, so the grid ends there; a
     grid whose last value is not its only zero is a bug and raises
     ``AssertionError``.  ``max_gap_profile`` reads only the run starts of
     ``Gamma_B`` (see its docstring for why that is exact).
     """
-    return _nu_grid(a, b, *_profile_head(a, b))
+    return _nu_grid(a, b, b.enumerating_prefix(b.genus + 1), _first_zero(a, b))
 
 
 def _invert_profile(nus: np.ndarray) -> tuple[int, ...]:
@@ -254,7 +261,8 @@ def _repeat_levels(spans: np.ndarray) -> tuple[int, ...]:
 def vi_from_nuplus(a: FormalSemigroup, b: FormalSemigroup) -> tuple[int, ...]:
     """Torsion profile of ``A # -B`` from the closed form.
 
-    A first zero at ``v = 0`` is the profile ``(0,)``.  Otherwise the grid
+    A first zero at ``v = 0`` is the profile ``(0,)``, found without
+    reading ``Gamma_B``.  Otherwise the grid
     (run starts of ``Gamma_B`` times levels ``0 .. V_0``) runs as
     ``nu_profile`` and its inversion when it has at most
     ``GRID_BLOCK_CELLS`` cells, or no more than the first round of the row
@@ -264,13 +272,14 @@ def vi_from_nuplus(a: FormalSemigroup, b: FormalSemigroup) -> tuple[int, ...]:
     docstring).  Row maxima that do not start at ``V_0`` or do not end at
     their only zero are a bug and raise ``AssertionError``.
     """
-    gam_b, first_zero = _profile_head(a, b)
+    first_zero = _first_zero(a, b)
     if first_zero == 0:
         return (0,)
+    ga, gb = a.genus, b.genus
+    gam_b = b.enumerating_prefix(gb + 1)
     runs = 1 + int(np.count_nonzero(gam_b[1:] != gam_b[:-1] + 1))
     if runs * (first_zero + 1) <= _kernels.GRID_BLOCK_CELLS:
         return _invert_profile(_nu_grid(a, b, gam_b, first_zero))
-    ga, gb = a.genus, b.genus
     nu_0 = max(0, ga - gb + int((gam_b - a.enumerating_prefix(gb + 1)).max()))
     if first_zero + 1 <= 2 * min(a.enumerating(1), nu_0 + 1):
         return _invert_profile(_nu_grid(a, b, gam_b, first_zero))

@@ -15,7 +15,7 @@ from gamma4.cfk import (
     HomologySummary,
     MalformedExponentsError,
     NotSingleTowerError,
-    _level_classes,
+    _level_snf,
     _rank_test,
     _tower_grading,
     dual,
@@ -303,30 +303,37 @@ def _unpack_bit_rows(rows: np.ndarray) -> tuple[int, ...]:
     return tuple(col_bits)
 
 
-def _grade_classes(g: np.ndarray) -> list[tuple[int, list[int], int]]:
-    """Reference for ``cfk._level_classes``: the grade classes of ``g``, by
-    descending grading: each grading, the indices that carry it in
-    increasing order, and their mask."""
-    g = np.asarray(g, dtype=np.int64)
-    order = np.argsort(-g, kind="stable")
-    negated, starts = np.unique(-g[order], return_index=True)
-    classes = []
-    for value, members in zip((-negated).tolist(), np.split(order, starts[1:])):
-        members = members.tolist()
-        mask = 0
-        for k in members:
-            mask |= 1 << k
-        classes.append((value, members, mask))
-    return classes
+def _set_up_alone(rows: np.ndarray, grading: np.ndarray) -> dict:
+    """Reference for the set-up of ``cfk._level_snf``, from the bit rows and
+    the gradings alone: the column bitsets unpacked from ``rows``, the
+    nonzero columns, each one's first pivot found bit by bit as its row of
+    least ``(grading, index)``, and one group per grading value."""
+    n = len(grading)
+    bits = _unpack_bit_rows(rows[:n])
+    g = np.asarray(grading, dtype=np.int64).tolist()
+    heads, first = [], []
+    for j, column in enumerate(bits):
+        if column:
+            heads.append(j)
+            first.append(min((g[i], i) for i in range(n) if column >> i & 1)[1])
+    masks: dict[int, int] = {}
+    reps = []
+    for k, value in enumerate(g):
+        if value not in masks:
+            reps.append(k)
+        masks[value] = masks.get(value, 0) | 1 << k
+    return {
+        "bits": bits,
+        "heads": np.array(heads, dtype=np.int64),
+        "first": np.array(first, dtype=np.int64),
+        "groups": (np.array(reps, dtype=np.int64), tuple(masks.values())),
+    }
 
 
 def _graded_snf_alone(rows: np.ndarray, grading: np.ndarray):
-    """``graded_snf`` set up from the bit rows and the gradings alone: the
-    bitsets unpacked from ``rows``, the classes sorted from ``grading``."""
-    n = len(grading)
-    return _kernels.graded_snf(
-        rows, grading, bits=_unpack_bit_rows(rows[:n]), classes=_grade_classes(grading)
-    )
+    """``graded_snf`` set up from the bit rows and the gradings alone, by
+    ``_set_up_alone``."""
+    return _kernels.graded_snf(rows, grading, **_set_up_alone(rows, grading))
 
 
 def _graded_snf_numpy(rows: np.ndarray, grading: np.ndarray):
@@ -443,7 +450,7 @@ def _snf_all(c: BifilteredComplex, bits):
     rows = _bit_rows(c)
     before = rows.copy()
     fast = _graded_snf_alone(rows, grading)
-    shared = _kernels.graded_snf(rows, grading, bits=bits, classes=_grade_classes(grading))
+    shared = _kernels.graded_snf(rows, grading, **{**_set_up_alone(rows, grading), "bits": bits})
     assert np.array_equal(rows, before)  # the input is left unchanged
     assert len(fast) == len(shared) == 3
     for got, again in zip(fast, shared):
@@ -522,37 +529,54 @@ def _level_gradings(c: BifilteredComplex):
         yield s, c.maslov - 2 * np.maximum(c.alexander - s, 0)
 
 
-def test_classes_from_groups_give_identical_triples():
+def _assert_level_snf_matches_references(c: BifilteredComplex, invariants: bool) -> None:
+    """At every level of ``c`` and at ``None``, the elimination that
+    ``_level_snf`` sets up from the complex's arrows and groups has exactly
+    the int64 triples of a set-up from the bit rows and the gradings alone,
+    and the tower read off its pivot counts is that of the NumPy reference,
+    which counts graded dimensions over every grading.  With
+    ``invariants``, its graded invariants are also those of the NumPy
+    elimination."""
+    rows = c._pattern.rows
+    for s, grading in _level_gradings(c):
+        level_grading, triples = _level_snf(c, s)
+        assert level_grading.tolist() == grading.tolist()
+        for got, want in zip(triples, _graded_snf_alone(rows, grading)):
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist(), s
+        if invariants:
+            ref = _graded_snf_numpy(rows.copy(), grading.copy())
+            assert _graded_invariants(triples, grading) == _graded_invariants(ref, grading), s
+        _assert_tower_at(c, s, grading, triples)
+
+
+def test_level_set_up_gives_identical_triples():
     """On every level of the samples, the 405-generator complex among them,
-    the grade classes built from the complex's groups give ``graded_snf``
-    exactly the int64 triples it finds with no bitsets and no classes."""
+    the first pivots from the arrows and the grade masks from the groups
+    give ``graded_snf`` exactly the triples of a set-up from the bit rows
+    and the gradings alone."""
     samples = _sample_complexes()
     assert max(len(c) for c in samples) == 405
     for c in samples:
-        rows, bits = c._pattern
-        for s, grading in _level_gradings(c):
-            classes = _level_classes(c, s)
-            assert [value for value, _, _ in classes] == sorted(set(grading.tolist()), reverse=True)
-            alone = _graded_snf_alone(rows, grading)
-            grouped = _kernels.graded_snf(rows, grading, bits=bits, classes=classes)
-            for got, want in zip(grouped, alone):
-                assert got.dtype == want.dtype == np.int64
-                assert got.tolist() == want.tolist(), s
+        _assert_level_snf_matches_references(c, invariants=False)
+
+
+def _assert_tower_at(c: BifilteredComplex, s, grading: np.ndarray, triples) -> None:
+    """The tower read off the pivot counts of the level-``s`` triples is
+    that of the NumPy reference, which counts graded dimensions over every
+    grading, and the level homology reports it with the triples' torsion."""
+    piv_row, piv_col, piv_deg = triples
+    assert len(c) - 2 * len(piv_row) == 1
+    kept = piv_deg >= 1
+    torsion = tuple(sorted(zip(piv_deg[kept].tolist(), grading[piv_row[kept]].tolist())))
+    tower = _tower_grading(grading, piv_row, piv_col)
+    assert tower == _tower_grading_numpy(grading, grading[piv_col], torsion), s
+    assert homology_over_polynomial_ring(c, s) == HomologySummary(1, tower, torsion)
 
 
 def _assert_tower_matches_reference(c: BifilteredComplex) -> None:
-    """At every level the tower read off the class sizes is that of the
-    NumPy reference, which counts graded dimensions over every grading."""
-    rows, bits = c._pattern
     for s, grading in _level_gradings(c):
-        classes = _level_classes(c, s)
-        piv_row, piv_col, piv_deg = _kernels.graded_snf(rows, grading, bits=bits, classes=classes)
-        assert len(c) - 2 * len(piv_row) == 1
-        kept = piv_deg >= 1
-        torsion = tuple(sorted(zip(piv_deg[kept].tolist(), grading[piv_row[kept]].tolist())))
-        tower = _tower_grading(classes, grading[piv_col].tolist(), torsion)
-        assert tower == _tower_grading_numpy(grading, grading[piv_col], torsion), s
-        assert homology_over_polynomial_ring(c, s).tower_grading == tower
+        _assert_tower_at(c, s, grading, _level_snf(c, s)[1])
 
 
 def test_tower_locator_matches_numpy_reference():
@@ -673,6 +697,16 @@ small_tensors = st.composite(_small_tensors)
 @settings(max_examples=60, deadline=None)
 def test_level_homology_matches_subcomplex_on_small_tensors(c):
     _assert_level_homology_matches_subcomplex(c)
+
+
+@given(small_tensors())
+@settings(max_examples=40, deadline=None)
+def test_level_set_up_matches_references_on_small_tensors(c):
+    """On tensors of at most three small staircases or duals, at every
+    level from ``min(A) - 1`` to ``max(A) + 1`` and at ``None``: the graded
+    invariants of the NumPy elimination, the tower of the NumPy locator,
+    and the triples of a set-up from the bit rows and the gradings alone."""
+    _assert_level_snf_matches_references(c, invariants=True)
 
 
 def _assert_rank_test_matches_homology(c: BifilteredComplex) -> None:
@@ -879,8 +913,8 @@ def test_level_sweep_builds_bitsets_once(monkeypatch):
     """Levels 0 to max(A) of the 405-generator oracle complex share one
     bitset build, straight from the arrows, and one grouping of the
     generators by grading, and every elimination gets the complex's bit
-    rows, its bitsets and the level's classes: ``graded_snf`` has no other
-    set-up path."""
+    rows, its bitsets, its arrow heads, its groups and the level's first
+    pivots: ``graded_snf`` has no other set-up path."""
     c = _sample_complexes()[-1]
     levels = range(max(c.alexander) + 1)
     assert (len(c), len(levels)) == (405, 24)
@@ -901,7 +935,13 @@ def test_level_sweep_builds_bitsets_once(monkeypatch):
 
     def counted_snf(rows, grading, **kwargs):
         pattern = c._pattern
-        eliminations.append((rows is pattern.rows, kwargs["bits"] is pattern.bits, sorted(kwargs)))
+        shared = (
+            rows is pattern.rows,
+            kwargs["bits"] is pattern.bits,
+            kwargs["heads"] is pattern.heads,
+            kwargs["groups"] is c._groups,
+        )
+        eliminations.append((shared, sorted(kwargs)))
         return graded_snf(rows, grading, **kwargs)
 
     column_bitsets, graded_snf = _kernels.column_bitsets, _kernels.graded_snf
@@ -909,31 +949,49 @@ def test_level_sweep_builds_bitsets_once(monkeypatch):
     monkeypatch.setattr(_kernels, "graded_snf", counted_snf)
     for s in levels:
         assert homology_over_polynomial_ring(c, s).free_rank == 1
-    groups = c._groups
+    reps, masks = c._groups
     monkeypatch.undo()
     assert builds == [405]
     assert groupings == [405]
-    assert eliminations == [(True, True, ["bits", "classes"])] * 24
-    assert sorted(k for _, _, members, _ in groups for k in members) == list(range(405))
-    # The shared bitsets change nothing: they are those of the packed rows,
-    # and give the same triples as an unpack and a sort per level.
-    rows, bits = c._pattern
+    assert eliminations == [((True,) * 4, ["bits", "first", "groups", "heads"])] * 24
+    # The groups partition the generators, each under its least member.
+    assert sum(mask.bit_count() for mask in masks) == 405
+    assert functools.reduce(int.__or__, masks) == (1 << 405) - 1
+    assert reps.tolist() == [(mask & -mask).bit_length() - 1 for mask in masks]
+    # The shared set-up changes nothing: the bitsets are those of the
+    # packed rows, and each level gives the same triples as a set-up from
+    # the bit rows and the gradings alone.
+    rows, bits = c._pattern.rows, c._pattern.bits
     assert bits == _unpack_bit_rows(rows)
     for s in levels:
-        grading = c.maslov - 2 * np.maximum(c.alexander - s, 0)
-        shared = _kernels.graded_snf(rows, grading, bits=bits, classes=_level_classes(c, s))
+        grading, shared = _level_snf(c, s)
         alone = _graded_snf_alone(rows, grading)
         assert [x.tolist() for x in shared] == [x.tolist() for x in alone]
 
 
 def test_graded_snf_takes_no_default_set_up():
-    """Without the bitsets or the classes ``graded_snf`` refuses to run."""
+    """Without every part of its set-up ``graded_snf`` refuses to run."""
     c = _sample_complexes()[0]
-    rows, bits = c._pattern
-    classes = _level_classes(c, None)
-    for kwargs in ({}, {"bits": bits}, {"classes": classes}):
+    rows = c._pattern.rows
+    set_up = _set_up_alone(rows, c.maslov)
+    for missing in set_up:
+        kwargs = {key: value for key, value in set_up.items() if key != missing}
         with pytest.raises(TypeError):
             _kernels.graded_snf(rows, c.maslov, **kwargs)
+    with pytest.raises(TypeError):
+        _kernels.graded_snf(rows, c.maslov)
+
+
+def test_graded_snf_refuses_a_first_pivot_below_the_grade_window():
+    """``x -> y`` with ``grading(y) = grading(x) - 3``: an entry of degree
+    -1, whose first pivot lies below the window ``grading(x) - 1``."""
+    grading = np.array([0, -3], dtype=np.int64)
+    rows = _kernels.pack_bit_rows(2, [(1, 0)])
+    with pytest.raises(AssertionError, match="no entry in the grade window"):
+        _graded_snf_alone(rows, grading)
+    # One grade lower the entry has degree 0, and the pair is a pivot.
+    got = _graded_snf_alone(rows, np.array([-2, -3], dtype=np.int64))
+    assert [x.tolist() for x in got] == [[1], [0], [0]]
 
 
 def test_level_homology_rejects_negative_shifted_exponent():

@@ -26,6 +26,7 @@ from gamma4.expressions import KnotExpression, TorusKnot, mirror, parse
 from gamma4.nuplus import (
     SEMIGROUP_STORE_MEMBERS,
     UnsupportedExpressionError,
+    _first_zero,
     _infimal_fold,
     _invert_profile,
     generator_excess,
@@ -909,6 +910,44 @@ two_generator = st.one_of(
     .filter(lambda pq: gcd(*pq) == 1)
     .map(lambda pq: FormalSemigroup.from_generators(*pq)),
 )
+
+
+def first_zero_full(a: FormalSemigroup, b: FormalSemigroup) -> int:
+    """``V_0`` of ``A # -B`` over every ``k = 0 .. g_B``: the largest
+    ``I_A(Gamma_B(k) + g_A - g_B) - k``, at least 0."""
+    ga, gb = a.genus, b.genus
+    return max(0, *(a.count_below(b.enumerating(k) + ga - gb) - k for k in range(gb + 1)))
+
+
+sides = st.one_of(
+    two_generator,
+    st.lists(two_generator, min_size=2, max_size=3).map(_infimal_fold),
+)
+
+
+@given(sides, sides)
+@example(S23, UNKNOT_SEMIGROUP)  # a window of one k, ending where it starts
+@example(UNKNOT_SEMIGROUP, UNKNOT_SEMIGROUP)
+@settings(max_examples=300, deadline=None)
+def test_first_zero_reads_only_its_window(a, b):
+    """``V_0`` from the window ``0 < Gamma_B(k) + g_A - g_B < 2 g_A`` is
+    ``V_0`` from every ``k``, in both orientations, on two-generator,
+    unknot and folded sides."""
+    for top, bottom in ((a, b), (b, a)):
+        assert _first_zero(top, bottom) == first_zero_full(top, bottom)
+
+
+def test_trivial_direction_reads_no_member_of_the_other_side(monkeypatch):
+    """``V_0 = 0`` is found, and the profile ``(0,)`` returned, without
+    building ``Gamma_B``."""
+    big = FormalSemigroup.from_generators(41, 5001)
+
+    def refuse(self, count):
+        raise AssertionError("Gamma_B was built")
+
+    monkeypatch.setattr(FormalSemigroup, "enumerating_prefix", refuse)
+    assert _first_zero(UNKNOT_SEMIGROUP, big) == 0
+    assert vi_from_nuplus(UNKNOT_SEMIGROUP, big) == (0,)
 
 
 @given(two_generator, two_generator, st.sampled_from([3, 64, _kernels.ROUND_CELLS]))
