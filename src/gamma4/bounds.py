@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .expressions import KnotExpression, mirror, multiply
+from .expressions import KnotExpression, mirror, multiply, parse
 from .nuplus import profile_at, t_from_profile, vi_expr
 from .semigroups import FormalSemigroup
 from .torus import signature_expr
@@ -195,9 +195,11 @@ def thin_bounds(tau: int, sigma: int) -> BoundReport:
     """Bound report for a Floer-thin knot given its tau and signature.
 
     Thin knots have the torsion profile of a two-strand torus knot: the side
-    with ``tau >= 0`` carries the profile of ``T(2, 2 tau + 1)`` and its
-    mirror a trivial one.  Both orientations of the headline bound are
-    evaluated and the stronger side is reported (``side`` records which).
+    with ``tau >= 0`` carries the profile of ``T(2, 2 tau + 1)``, which
+    ``vi_expr`` computes from the semigroup store (``T(2, 1)`` is the
+    unknot), and its mirror a trivial one.  Both orientations of the
+    headline bound are evaluated and the stronger side is reported
+    (``side`` records which).
     Upsilon for these knots is ``-tau``, making the upsilon bound
     ``|sigma/2 + tau|`` — zero for quasi-alternating knots, where
     ``sigma = -2 tau``.
@@ -206,7 +208,7 @@ def thin_bounds(tau: int, sigma: int) -> BoundReport:
         raise ValueError("tau must be non-negative; mirror the knot first")
     if sigma % 2 != 0:
         raise ValueError("signature must be even")
-    model = FormalSemigroup.from_generators(2, 2 * tau + 1).vi
+    model = vi_expr(parse(f"T(2,{2 * tau + 1})"))
     upsilon_value = -tau
     plain = _assemble(sigma, (0,), upsilon_value, None, None, "as-given")
     flipped = _assemble(-sigma, model, -upsilon_value, None, None, "mirrored")

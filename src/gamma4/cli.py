@@ -299,6 +299,8 @@ def _cmd_invariants(args, expr: KnotExpression, cache: ProfileCache) -> _Output:
     positive, negative = split_parts(expr)
     forward = cache.profile(expr)
     backward = cache.profile(mirror(expr))
+    nu_plus = len(forward) - 1
+    t = t_from_profile(backward)
     sigma = signature_expr(expr)
     summands = [
         (knot, coeff, alexander(knot.p, knot.q)) for knot, coeff in expr.terms
@@ -314,8 +316,8 @@ def _cmd_invariants(args, expr: KnotExpression, cache: ProfileCache) -> _Output:
     lines += [
         f"torsion profile: {_seq_text(forward)}",
         f"torsion profile (mirror): {_seq_text(backward)}",
-        f"first vanishing index: {len(forward) - 1}",
-        f"t: {t_from_profile(backward)}",
+        f"first vanishing index: {nu_plus}",
+        f"t: {t}",
     ]
     results = {
         "sigma": sigma,
@@ -333,8 +335,8 @@ def _cmd_invariants(args, expr: KnotExpression, cache: ProfileCache) -> _Output:
         ],
         "vi": list(forward),
         "vi_mirror": list(backward),
-        "nu_plus": len(forward) - 1,
-        "t": t_from_profile(backward),
+        "nu_plus": nu_plus,
+        "t": t,
     }
     return _Output({}, lines, results)
 

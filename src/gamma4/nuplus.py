@@ -39,11 +39,14 @@ conquer's fixed costs would dominate, and so does a larger grid that has
 no more cells than the divide and conquer's first round, which reads the
 first and last row of each residue class in full (``V_0 + 1 <= 2
 min(p, nu_plus_0 + 1)`` with ``p`` the multiplicity of A: few rows per
-class).  Every other grid runs as row maxima.  ``nu_profile`` also stays the reference of the tests and the
-index-grid input of ``verify``.
+class).  Every other grid runs as row maxima.  ``nu_profile`` also
+stays the reference of the tests and the index-grid input of ``verify``.
 
-The router in this module decides, per expression, when that formula is
-trustworthy.  Three situations qualify:
+The router in this module, ``route``, decides per expression when that
+formula is trustworthy.  It decides from the two class lists of
+``_classes`` and the genus cap alone, and ``vi_expr`` then builds what it
+decided, so a caller that reads only the decision builds nothing.  Three
+situations qualify:
 
 * one side is empty — then the formula degenerates to reading off the
   torsion profile of the other side, and only that profile matters.  For a
@@ -68,23 +71,25 @@ apply; any disagreement is a hard failure, never a silent fallback.
 The adjacent-parameter substitution is stronger than the fold: it holds
 at the level of the underlying filtered complex (the power's complex
 splits as the collapsed staircase plus acyclic pieces).  It happens in
-one place, the list of a side's factor classes, which the router, the
-generator budget and the direct tensor path all read, so it applies
-inside any tensor product.  The direct path reads the profile off one F_2
-rank test per level (``cfk.vi_by_rank``).  ``vi_tensor_oracle``
-deliberately does neither — it tensors one staircase per copy of each
-term as written and runs graded Smith normal form at every level
-(``cfk.vi_sequence``).  The two are independent algorithms, and the
-oracle is the cross-check for every shortcut above.
+one place, ``_classes``, which returns both sides' lists of factor
+classes and which the router, the generator budget, the closed-form build
+and the direct tensor path all read, so it applies inside any tensor
+product.  The direct path reads the profile off one F_2 rank test per
+level (``cfk.vi_by_rank``).  ``vi_tensor_oracle`` deliberately does
+neither — it tensors one staircase per copy of each term as written and
+runs graded Smith normal form at every level (``cfk.vi_sequence``).  The
+two are independent algorithms, and the oracle is the cross-check for
+every shortcut above.
 
 Every knot's two-generator semigroup comes from one per-process store,
-``_semigroup``, which the router, the generator budget and the piece cache
-all read: a semigroup is frozen and its members read-only, so each knot's
-is built once and shared.  The store is bounded by the members it holds,
-``SEMIGROUP_STORE_MEMBERS`` over all its entries (about 1 MB of int64),
-not by its entry count: a few genus-10^5 sides would hold tens of MB under
-an entry bound.  It drops its oldest entries first to make room, and a
-semigroup with more members than the bound is returned but never held.
+``_semigroup``, which the closed-form build of ``vi_expr``, the generator
+budget and the piece cache all read: a semigroup is frozen and its members
+read-only, so each knot's is built once and shared.  The store is bounded
+by the members it holds, ``SEMIGROUP_STORE_MEMBERS`` over all its entries
+(about 1 MB of int64), not by its entry count: a few genus-10^5 sides
+would hold tens of MB under an entry bound.  It drops its oldest entries
+first to make room, and a semigroup with more members than the bound is
+returned but never held.
 
 Both paths take their staircases and duals from one piece cache,
 ``_piece``, an ``lru_cache`` keyed by ``(knot, mirrored)`` and bounded by
@@ -147,26 +152,25 @@ class UnsupportedExpressionError(ValueError):
 class VRoute:
     """How the torsion profile of an expression will be computed.
 
-    ``kind`` is one of:
+    A route is a decision only: it holds no semigroup and no complex, and
+    ``vi_expr`` builds what it names.  ``kind`` is one of:
 
-    * ``"closed-form"`` — the sides reduced to the formal semigroups
-      ``positive`` / ``negative`` and the two-sided enumerating-function
-      formula applies: one side is trivial and the other folds by infimal
-      convolution, or both sides are single two-generator semigroups (a
+    * ``"closed-form"`` — the two-sided enumerating-function formula
+      applies: one side is trivial and the other folds by infimal
+      convolution, or each side is a single two-generator semigroup (a
       lone summand, or ``n`` copies of ``T(p, p+1)`` collapsed to
       ``T(p, pn+1)``).  No complex is built.
     * ``"complex"`` — several staircases (different knots, or copies of one
       knot that no adjacent-power collapse removes) share a side while the
-      other side is nonempty; direct tensor computation over ``genus`` total
-      genus.
+      other side is nonempty; direct tensor computation.
     * ``"unsupported"`` — the work would exceed the genus cap or the
-      generator limit; ``reason`` says which.
+      generator limit.
+
+    ``reason`` says why a route is ``"complex"`` or ``"unsupported"``, and
+    is empty for a closed form.
     """
 
     kind: str
-    positive: FormalSemigroup | None = None
-    negative: FormalSemigroup | None = None
-    genus: int | None = None
     reason: str = ""
 
 
@@ -299,8 +303,10 @@ def vi_from_nuplus(a: FormalSemigroup, b: FormalSemigroup) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _factor_classes(part: KnotExpression) -> list[tuple[TorusKnot, int]]:
-    """A side's factor classes ``(knot, copies)``, largest genus first.
+def _classes(
+    expr: KnotExpression,
+) -> tuple[list[tuple[TorusKnot, int]], list[tuple[TorusKnot, int]]]:
+    """Both sides' factor classes ``(knot, copies)``, largest genus first.
 
     This is the one place where adjacent-parameter powers collapse: ``c``
     copies of ``T(p, p+1)`` become the class ``(T(p, pc+1), 1)``, because
@@ -309,12 +315,13 @@ def _factor_classes(part: KnotExpression) -> list[tuple[TorusKnot, int]]:
     stable, and ``tensor_fold`` keeps this order among staircases of equal
     length, so it fixes the generator numbering of ``tensor_complex``.
     """
-    classes = [
-        (representative(count, knot.p), 1) if knot.q == knot.p + 1 else (knot, count)
-        for knot, count in part
-    ]
-    classes.sort(key=lambda kc: kc[0].genus, reverse=True)
-    return classes
+    sides = tuple(
+        [(representative(c, k.p), 1) if k.q == k.p + 1 else (k, c) for k, c in part]
+        for part in split_parts(expr)
+    )
+    for side in sides:
+        side.sort(key=lambda kc: kc[0].genus, reverse=True)
+    return sides
 
 
 class _SemigroupStore:
@@ -392,9 +399,13 @@ def _infimal_fold(factors: list[FormalSemigroup]) -> FormalSemigroup:
 def route(expr: KnotExpression, genus_cap: int = DEFAULT_GENUS_CAP) -> VRoute:
     """Decide how to compute the torsion profile of ``expr``.
 
-    Budgets are checked from the factor classes before any factor is built.
+    The decision reads the class lists of ``_classes`` and the genus cap
+    alone, and builds nothing for a closed form: folding its semigroups is
+    ``vi_expr``'s work.  The one exception is the complex branch's
+    generator budget, which reads the staircase lengths of knots whose
+    total genus is already within the cap.
     """
-    sides = [_factor_classes(part) for part in split_parts(expr)]
+    sides = _classes(expr)
     counts = [sum(copies for _, copies in side) for side in sides]
     genera = [sum(knot.genus * copies for knot, copies in side) for side in sides]
     if min(counts) > 0 and max(counts) > 1:
@@ -403,32 +414,28 @@ def route(expr: KnotExpression, genus_cap: int = DEFAULT_GENUS_CAP) -> VRoute:
         excess = (
             f"total genus {total} exceeds the cap {genus_cap}"
             if total > genus_cap
-            else generator_excess(expr)
+            else _generator_excess(sides)
         )
         if excess:
             return VRoute(kind="unsupported", reason=f"{preface}; {excess}")
-        return VRoute(kind="complex", genus=total, reason=preface)
+        return VRoute(kind="complex", reason=preface)
     if max(counts) > 1 and max(genera) > genus_cap:
         # the other side is empty, so this is the genus of the reduced side
         return VRoute(
             kind="unsupported",
             reason=f"reduced genus {max(genera)} exceeds the cap {genus_cap}",
         )
-    positive, negative = (
-        _infimal_fold([s for knot, n in side for s in [_semigroup(knot)] * n])
-        for side in sides
-    )
-    return VRoute(kind="closed-form", positive=positive, negative=negative)
+    return VRoute(kind="closed-form")
 
 
-def generator_excess(expr: KnotExpression) -> str:
-    """Why the tensor complex of ``expr`` is too big, or ``""`` if it is not.
+def _generator_excess(sides: Iterable[Iterable[tuple[TorusKnot, int]]]) -> str:
+    """Why the tensor complex of the class lists ``sides`` is too big, or ``""``.
 
     Each factor class contributes its staircase length ``copies`` times.
     """
     generators = 1
-    for part in split_parts(expr):
-        for knot, copies in _factor_classes(part):
+    for side in sides:
+        for knot, copies in side:
             generators *= len(staircase_exponents(_semigroup(knot))) ** copies
     if generators > COMPLEX_GENERATOR_LIMIT:
         return (
@@ -436,6 +443,11 @@ def generator_excess(expr: KnotExpression) -> str:
             f"generators (limit {COMPLEX_GENERATOR_LIMIT})"
         )
     return ""
+
+
+def generator_excess(expr: KnotExpression) -> str:
+    """Why the tensor complex of ``expr`` is too big, or ``""`` if it is not."""
+    return _generator_excess(_classes(expr))
 
 
 def tensor_fold(pieces: list[BifilteredComplex]) -> BifilteredComplex:
@@ -503,7 +515,7 @@ def tensor_complex(expr: KnotExpression) -> BifilteredComplex:
     products), and ``generator_excess`` counts exactly its generators.  An
     empty expression yields the one-generator unknot complex.
     """
-    return _tensor_of(*(_factor_classes(part) for part in split_parts(expr)))
+    return _tensor_of(*_classes(expr))
 
 
 def vi_tensor_oracle(expr: KnotExpression) -> tuple[int, ...]:
@@ -521,10 +533,21 @@ def vi_tensor_oracle(expr: KnotExpression) -> tuple[int, ...]:
 def vi_expr(
     expr: KnotExpression, genus_cap: int = DEFAULT_GENUS_CAP
 ) -> tuple[int, ...]:
-    """Torsion profile ``V_0, V_1, ..., 0`` of a torus-knot expression."""
+    """Torsion profile ``V_0, V_1, ..., 0`` of a torus-knot expression.
+
+    ``route`` decides, and this builds what it decided: for a closed form,
+    each side's class semigroups from the store, folded by infimal
+    convolution, into ``vi_from_nuplus``; for a complex, the rank tests of
+    ``tensor_complex``.  A refusal raises ``UnsupportedExpressionError``
+    with the route's reason.
+    """
     plan = route(expr, genus_cap)
     if plan.kind == "closed-form":
-        return vi_from_nuplus(plan.positive, plan.negative)
+        positive, negative = (
+            _infimal_fold([s for knot, n in side for s in [_semigroup(knot)] * n])
+            for side in _classes(expr)
+        )
+        return vi_from_nuplus(positive, negative)
     if plan.kind == "complex":
         return vi_by_rank(tensor_complex(expr))
     raise UnsupportedExpressionError(plan.reason)

@@ -132,14 +132,6 @@ class FormalSemigroup:
     def conductor(self) -> int:
         return 2 * self.members.size
 
-    def __contains__(self, x: object) -> bool:
-        if not _is_integer(x) or x < 0:
-            return False
-        if x >= self.conductor:
-            return True
-        i = self.count_below(x)
-        return i < self.genus and int(self.members[i]) == x
-
     def count_below(self, x: int) -> int:
         """Number of members strictly below ``x``."""
         if x <= 0:

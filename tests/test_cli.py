@@ -374,6 +374,27 @@ def test_cache_hits_are_routed_again(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_cache_hits_build_no_semigroup(tmp_path, capsys, monkeypatch):
+    """A cache hit only routes, and a closed-form route builds nothing: the
+    second run reads both profiles from the file with the store empty."""
+    store = tmp_path / "cache.json"
+    args = ("--json", "invariants", "T(2,3) + T(2,5) + T(3,4)", "--cache", str(store))
+    code, first, _ = run_cli(capsys, *args)
+    assert code == 0
+    built = []
+    build = FormalSemigroup.from_generators
+
+    def counted(a, b):
+        built.append((a, b))
+        return build(a, b)
+
+    gamma4.nuplus._SEMIGROUPS.clear()
+    monkeypatch.setattr(FormalSemigroup, "from_generators", staticmethod(counted))
+    code, second, _ = run_cli(capsys, *args)
+    assert code == 0 and second == first
+    assert built == []
+
+
 def test_cache_entries_of_another_version_are_never_hits(tmp_path, capsys):
     """A profile stored under another version's key, even a wrong one that
     passes the profile check, is ignored, kept, and joined by this

@@ -1,5 +1,6 @@
 """Tests for the closed-form torsion profiles and the expression router."""
 
+import dataclasses
 import random
 import re
 from itertools import chain, combinations_with_replacement, permutations, repeat
@@ -26,6 +27,7 @@ from gamma4.expressions import KnotExpression, TorusKnot, mirror, parse
 from gamma4.nuplus import (
     SEMIGROUP_STORE_MEMBERS,
     UnsupportedExpressionError,
+    VRoute,
     _first_zero,
     _infimal_fold,
     _invert_profile,
@@ -109,17 +111,20 @@ def test_hom_wu_values():
 
 
 def test_route_kinds():
-    plan = route(parse("5*T(2,3) - 5*T(5,6)"))
-    assert plan.kind == "closed-form"
-    assert plan.positive == FormalSemigroup.from_generators(2, 11)
-    assert plan.negative == FormalSemigroup.from_generators(5, 26)
+    """Each route's kind and reason; a closed form builds the collapsed
+    semigroups in ``vi_expr``."""
+    expr = parse("5*T(2,3) - 5*T(5,6)")
+    assert route(expr) == VRoute(kind="closed-form", reason="")
+    assert vi_expr(expr) == vi_from_nuplus(
+        FormalSemigroup.from_generators(2, 11), FormalSemigroup.from_generators(5, 26)
+    )
+    assert [field.name for field in dataclasses.fields(VRoute)] == ["kind", "reason"]
     # one-sided sums fold by infimal convolution, still under the genus cap
-    assert route(parse("T(2,3) + T(3,5)")).kind == "closed-form"
-    assert route(parse("-T(2,3) - T(3,5)")).kind == "closed-form"
+    assert route(parse("T(2,3) + T(3,5)")) == VRoute(kind="closed-form")
+    assert route(parse("-T(2,3) - T(3,5)")) == VRoute(kind="closed-form")
     # several different staircases against a nonempty other side do not
     mixed = route(parse("T(2,3) + T(3,5) - T(2,5)"))
-    assert mixed.kind == "complex"
-    assert mixed.genus == 7
+    assert mixed == VRoute(kind="complex", reason="several staircases share a side")
     for text in ("T(2,3) + T(3,5)", "-T(2,3) - T(3,5)"):
         tight = route(parse(text), genus_cap=3)
         assert tight.kind == "unsupported"
@@ -127,8 +132,9 @@ def test_route_kinds():
     with pytest.raises(UnsupportedExpressionError):
         vi_expr(parse("T(2,3) + T(3,5)"), genus_cap=3)
     # the direct path respects the genus cap too
-    assert route(parse("T(2,3) + T(3,5) - T(2,5)"), genus_cap=6).kind == (
-        "unsupported"
+    assert route(parse("T(2,3) + T(3,5) - T(2,5)"), genus_cap=6) == VRoute(
+        kind="unsupported",
+        reason="several staircases share a side; total genus 7 exceeds the cap 6",
     )
 
 
@@ -512,6 +518,22 @@ def test_route_and_its_mirror_build_each_knot_once(monkeypatch):
         route(expr), route(mirror(expr))
         vi_expr(expr), vi_expr(mirror(expr))
     assert built == [TorusKnot(2, 3), TorusKnot(5, 6), TorusKnot(2, 5), TorusKnot(3, 4)]
+
+
+def test_route_builds_no_semigroup_for_a_closed_form(monkeypatch):
+    """A closed-form decision reads the class lists alone: with the store
+    empty and every semigroup build refused, it still decides, also for a
+    knot whose sieve would need gigabytes; ``vi_expr`` builds."""
+
+    def refused(a, b):
+        raise AssertionError(f"the semigroup of T({a},{b}) was built")
+
+    STORE.clear()
+    monkeypatch.setattr(FormalSemigroup, "from_generators", staticmethod(refused))
+    for text in ("T(2,3) - T(1000,1000001)", "T(2,3) + T(2,5) + T(3,4)"):
+        assert route(parse(text)) == VRoute(kind="closed-form")
+    with pytest.raises(AssertionError, match="was built"):
+        vi_expr(parse("T(2,3) + T(2,5) + T(3,4)"))
 
 
 closed_form_pairs = st.tuples(
