@@ -55,7 +55,7 @@ class BoundReport:
     batson: int
     nu_plus_bound: int
     main: int
-    upsilon_bound: int | None = None
+    upsilon_bound: int
     stable: Fraction | None = None
     stable_witness: int | None = None
     final_gamma4_lower: int = 1
@@ -124,7 +124,7 @@ def upsilon_bound(expr: KnotExpression) -> int:
 def _assemble(
     sigma: int,
     back_profile: tuple[int, ...],
-    upsilon_value: int | None,
+    upsilon_value: int,
     stable: Fraction | None,
     stable_witness: int | None,
     side: str,
@@ -142,9 +142,7 @@ def _assemble(
         batson=table[0],
         nu_plus_bound=table[len(back_profile) - 1],
         main=main,
-        upsilon_bound=(
-            abs(sigma // 2 - upsilon_value) if upsilon_value is not None else None
-        ),
+        upsilon_bound=abs(sigma // 2 - upsilon_value),
         stable=stable,
         stable_witness=stable_witness,
         final_gamma4_lower=max(candidates),

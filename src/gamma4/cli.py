@@ -29,10 +29,10 @@ decimal renderings marked inexact, ``--cache FILE`` memoises torsion profiles
 across invocations without ever changing a value, and ``--genus-cap G``
 bounds the total genus the router will expand into a tensor complex (a
 negative ``G`` is a usage error).  ``G`` is given once to the profile
-cache, through which every subcommand reads its profiles, and to the
-router for ``cfk-dump``.  A one-sided sum of several knots folds by infimal
-convolution and never expands, but obeys the same cap; closed-form
-staircase pairs are exempt.
+cache, through which every subcommand that takes ``EXPR`` reads its
+profiles, and to the router for ``cfk-dump``.  A one-sided sum of several
+knots folds by infimal convolution and never expands, but obeys the same
+cap; closed-form staircase pairs are exempt.
 
 ``main`` is the one frame every subcommand shares.  It parses ``EXPR``
 once, before any handler runs; writes the ``input`` object of ``--json``
@@ -349,9 +349,8 @@ def _bound_lines_results(rep, decimal: bool) -> tuple[list[str], dict]:
         f"batson bound: {rep.batson}",
         f"nu-plus bound: {rep.nu_plus_bound}",
         f"main bound: {rep.main}",
+        f"upsilon bound: {rep.upsilon_bound}",
     ]
-    if rep.upsilon_bound is not None:
-        lines.append(f"upsilon bound: {rep.upsilon_bound}")
     if rep.stable is not None:
         lines.append(
             f"stable bound: {_frac_text(rep.stable, decimal)} "

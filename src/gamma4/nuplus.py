@@ -45,7 +45,9 @@ stays the reference of the tests and the index-grid input of ``verify``.
 The router in this module, ``route``, decides per expression when that
 formula is trustworthy.  It decides from the two class lists of
 ``_classes`` and the genus cap alone, and ``vi_expr`` then builds what it
-decided, so a caller that reads only the decision builds nothing.  Three
+decided, so a caller that reads only the decision builds nothing.  The
+build reads the same lists again, and ``_classes`` holds the lists of the
+last expression, so deciding and building make them once.  Three
 situations qualify:
 
 * one side is empty — then the formula degenerates to reading off the
@@ -71,15 +73,17 @@ apply; any disagreement is a hard failure, never a silent fallback.
 The adjacent-parameter substitution is stronger than the fold: it holds
 at the level of the underlying filtered complex (the power's complex
 splits as the collapsed staircase plus acyclic pieces).  It happens in
-one place, ``_classes``, which returns both sides' lists of factor
-classes and which the router, the generator budget, the closed-form build
-and the direct tensor path all read, so it applies inside any tensor
-product.  The direct path reads the profile off one F_2 rank test per
-level (``cfk.vi_by_rank``).  ``vi_tensor_oracle`` deliberately does
-neither — it tensors one staircase per copy of each term as written and
-runs graded Smith normal form at every level (``cfk.vi_sequence``).  The
-two are independent algorithms, and the oracle is the cross-check for
-every shortcut above.
+one place, ``_classes``, which returns both sides' factor classes as two
+tuples, built in one pass over the terms.  The router, the generator
+budget, the closed-form build and the direct tensor path all read them, so
+the substitution applies inside any tensor product; the tuples of the
+last expression are held, so these readers share one build.  The direct
+path reads the profile off one F_2 rank test per level
+(``cfk.vi_by_rank``).  ``vi_tensor_oracle`` deliberately does neither — it
+tensors one staircase per copy of each term as written and runs graded
+Smith normal form at every level (``cfk.vi_sequence``).  The two are
+independent algorithms, and the oracle is the cross-check for every
+shortcut above.
 
 Every knot's two-generator semigroup comes from one per-process store,
 ``_semigroup``, which the closed-form build of ``vi_expr``, the generator
@@ -138,9 +142,13 @@ SEMIGROUP_STORE_MEMBERS = 1 << 17
 
 #: Hard ceiling on the number of generators the direct tensor path may
 #: allocate.  The genus cap alone does not bound the product of staircase
-#: sizes (many small factors multiply up), and past this point the
-#: elimination kernels would run for hours; refusing with a clear error is
-#: more honest than hanging.
+#: sizes (many small factors multiply up).  The direct path's cost is
+#: quadratic in its generators, because each generator's rank-test target
+#: mask spans its whole parity class: ``tensor_complex`` plus ``vi_by_rank``
+#: take 0.11 + 0.53 s at 42 875 generators and 0.23 + 1.17 s (312 MB peak)
+#: at 78 125 on a 2-core VM, 12.2 s and 2.3 GB at 234 375, and run out of
+#: memory at 390 625.  Past this point an expression is refused with a
+#: clear error.
 COMPLEX_GENERATOR_LIMIT = 40_000
 
 
@@ -303,25 +311,34 @@ def vi_from_nuplus(a: FormalSemigroup, b: FormalSemigroup) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _classes(
     expr: KnotExpression,
-) -> tuple[list[tuple[TorusKnot, int]], list[tuple[TorusKnot, int]]]:
+) -> tuple[tuple[tuple[TorusKnot, int], ...], tuple[tuple[TorusKnot, int], ...]]:
     """Both sides' factor classes ``(knot, copies)``, largest genus first.
 
     This is the one place where adjacent-parameter powers collapse: ``c``
     copies of ``T(p, p+1)`` become the class ``(T(p, pc+1), 1)``, because
     the power's complex splits as that staircase plus acyclic summands.
-    Every other knot keeps its count.  Nothing is built.  The sort is
-    stable, and ``tensor_fold`` keeps this order among staircases of equal
-    length, so it fixes the generator numbering of ``tensor_complex``.
+    Every other knot keeps its count.  Nothing is built: one pass over the
+    terms sends each to its side (a negative coefficient to the mirrored
+    one), and each side is then sorted.  The sort is stable, and
+    ``tensor_fold`` keeps this order among staircases of equal length, so
+    it fixes the generator numbering of ``tensor_complex``.
+
+    The classes of the last expression are held, as immutable tuples that
+    every caller shares: ``route``, the generator budget, the closed-form
+    build of ``vi_expr`` and ``tensor_complex`` each read them, so a
+    request builds them once.
     """
-    sides = tuple(
-        [(representative(c, k.p), 1) if k.q == k.p + 1 else (k, c) for k, c in part]
-        for part in split_parts(expr)
+    sides: tuple[list, list] = ([], [])
+    for k, c in expr.terms:
+        n = abs(c)
+        sides[c < 0].append((representative(n, k.p), 1) if k.q == k.p + 1 else (k, n))
+    positive, negative = (
+        tuple(sorted(side, key=lambda kc: kc[0].genus, reverse=True)) for side in sides
     )
-    for side in sides:
-        side.sort(key=lambda kc: kc[0].genus, reverse=True)
-    return sides
+    return positive, negative
 
 
 class _SemigroupStore:
@@ -377,8 +394,8 @@ def _infimal_fold(factors: list[FormalSemigroup]) -> FormalSemigroup:
     ``I`` rises at every step, so no larger ``i`` can lower the minimum.
     The filtered structure is lost, so this holds only for one-sided sums.
     """
-    if len(factors) == 1:  # a lone factor may have genus 10^5: no O(g^2) pass
-        return factors[0]
+    if len(factors) <= 1:  # a lone factor may have genus 10^5: no O(g^2) pass
+        return factors[0] if factors else UNKNOT_SEMIGROUP
     genus = sum(s.genus for s in factors)
     m = np.arange(2 * genus + 1)
     acc = m  # the unknot's counting function

@@ -395,6 +395,40 @@ def test_cache_hits_build_no_semigroup(tmp_path, capsys, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize(
+    "argv, reads",
+    [
+        (("cfk-dump", "T(2,3) + T(3,4) - T(2,5)"), 1),
+        (("cfk-dump", "2*T(2,3) + T(2,5) - T(3,4)"), 1),
+        (("invariants", "T(5,6) - T(2,3)"), 2),
+    ],
+)
+def test_a_request_builds_its_class_lists_once(capsys, argv, reads):
+    """Routing, budgeting and building one expression share one build of its
+    class lists; ``invariants`` reads the expression and its mirror."""
+    gamma4.nuplus._classes.cache_clear()
+    code, _, _ = run_cli(capsys, "--json", *argv)
+    assert code == 0
+    assert gamma4.nuplus._classes.cache_info().misses == reads
+
+
+def test_a_cache_hit_builds_its_class_lists_once(tmp_path, capsys, monkeypatch):
+    """A hit on both profiles routes each of its two expressions once."""
+    store = tmp_path / "cache.json"
+    args = ("--json", "invariants", "T(2,3) + T(3,4) - T(2,5)", "--cache", str(store))
+    code, first, _ = run_cli(capsys, *args)
+    assert code == 0
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a cached profile was computed again")
+
+    monkeypatch.setattr(gamma4.cli, "vi_expr", refused)
+    gamma4.nuplus._classes.cache_clear()
+    code, second, _ = run_cli(capsys, *args)
+    assert code == 0 and second == first
+    assert gamma4.nuplus._classes.cache_info().misses == 2
+
+
 def test_cache_entries_of_another_version_are_never_hits(tmp_path, capsys):
     """A profile stored under another version's key, even a wrong one that
     passes the profile check, is ignored, kept, and joined by this

@@ -1,10 +1,12 @@
 """Tests for the closed-form torsion profiles and the expression router."""
 
 import dataclasses
+import json
 import random
 import re
 from itertools import chain, combinations_with_replacement, permutations, repeat
 from math import gcd
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,11 +25,12 @@ from gamma4.cfk import (
     vi_by_rank,
     vi_sequence,
 )
-from gamma4.expressions import KnotExpression, TorusKnot, mirror, parse
+from gamma4.expressions import KnotExpression, TorusKnot, mirror, parse, split_parts
 from gamma4.nuplus import (
     SEMIGROUP_STORE_MEMBERS,
     UnsupportedExpressionError,
     VRoute,
+    _classes,
     _first_zero,
     _infimal_fold,
     _invert_profile,
@@ -45,7 +48,7 @@ from gamma4.nuplus import (
     vi_tensor_oracle,
 )
 from gamma4.semigroups import UNKNOT_SEMIGROUP, FormalSemigroup
-from gamma4.torus import vi_lspace
+from gamma4.torus import representative, vi_lspace
 
 S526 = FormalSemigroup.from_generators(5, 26)
 S211 = FormalSemigroup.from_generators(2, 11)
@@ -302,6 +305,7 @@ def test_oracle_eliminates_every_level(monkeypatch):
 def test_infimal_fold_identities():
     factors = [FormalSemigroup.from_generators(k.p, k.q) for k in ONE_SIDED_KNOTS]
     assert _infimal_fold([]) == UNKNOT_SEMIGROUP
+    assert _infimal_fold([]) is UNKNOT_SEMIGROUP  # shared, not built again
     for a in factors:
         assert _infimal_fold([a, UNKNOT_SEMIGROUP]) == a
         assert _infimal_fold([UNKNOT_SEMIGROUP, a]) == a
@@ -536,22 +540,101 @@ def test_route_builds_no_semigroup_for_a_closed_form(monkeypatch):
         vi_expr(parse("T(2,3) + T(2,5) + T(3,4)"))
 
 
+def reference_classes(expr):
+    """The reference for ``_classes``, built another way: a list per part
+    of ``split_parts``, each sorted in place, stably, by genus."""
+    sides = tuple(
+        [(representative(c, k.p), 1) if k.q == k.p + 1 else (k, c) for k, c in part]
+        for part in split_parts(expr)
+    )
+    for side in sides:
+        side.sort(key=lambda kc: kc[0].genus, reverse=True)
+    return sides
+
+
+def assert_classes_match_reference(expr):
+    got = _classes(expr)
+    assert type(got) is tuple and [type(side) for side in got] == [tuple, tuple]
+    assert [list(side) for side in got] == list(reference_classes(expr)), expr
+
+
+CATALOG = Path(__file__).parents[1] / "perfbench" / "family_catalog.json"
+
+
+def test_classes_match_the_reference_on_the_catalog():
+    """Tuples in the reference order, for every catalog expression in turn,
+    so each read follows a memo that holds the previous expression."""
+    rows = json.loads(CATALOG.read_text(encoding="utf-8"))
+    assert len(rows) == 421
+    for text, *_ in rows:
+        assert_classes_match_reference(parse(text))
+
+
+small_terms = st.lists(
+    st.tuples(
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=-3, max_value=3).filter(bool),
+    ).filter(lambda pdc: gcd(pdc[0], pdc[1]) == 1),
+    max_size=6,
+).map(
+    lambda terms: KnotExpression.from_terms(
+        (TorusKnot(p, p + d), c) for p, d, c in terms
+    )
+)
+
+
+@given(small_terms)
+@example(parse("T(3,4) + T(2,7) - T(2,9) - T(3,5) - 2*T(2,3)"))  # genus ties
+@settings(max_examples=200, deadline=None)
+def test_classes_match_the_reference(expr):
+    assert_classes_match_reference(expr)
+    assert_classes_match_reference(mirror(expr))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["T(5,6) - T(2,3)", "7*T(2,3) - 7*T(5,6)", "T(2,3) + T(2,5) + T(3,4)",
+     "T(2,3) + T(3,4) - T(2,5)", "3*T(2,5) - T(3,4)"],
+)
+def test_a_profile_builds_its_class_lists_once(monkeypatch, text):
+    """``route``, the generator budget and the build of ``vi_expr`` share
+    one build of the class lists, on the closed-form and complex routes:
+    one memo miss, and one collapse per adjacent-parameter term."""
+    expr = parse(text)
+    collapsed = []
+
+    def counted(n, p):
+        collapsed.append(p)
+        return representative(n, p)
+
+    monkeypatch.setattr(gamma4.nuplus, "representative", counted)
+    _classes.cache_clear()
+    vi_expr(expr)
+    assert _classes.cache_info().misses == 1
+    assert len(collapsed) == sum(k.q == k.p + 1 for k, _ in expr.terms)
+
+
 closed_form_pairs = st.tuples(
     st.sampled_from(ONE_SIDED_KNOTS + [TorusKnot(7, 9), TorusKnot(3, 22)]),
     st.sampled_from(ONE_SIDED_KNOTS + [TorusKnot(2, 41), TorusKnot(9, 10)]),
 ).map(lambda ab: KnotExpression.from_terms([(ab[0], 1), (ab[1], -1)]))
 
 
+@pytest.mark.parametrize("clear_classes", [True, False])
 @given(st.lists(closed_form_pairs | budgeted_expressions(), min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
-def test_profiles_do_not_depend_on_the_store(exprs):
+def test_profiles_do_not_depend_on_the_store(clear_classes, exprs):
     """Each profile from a cold store and cold piece cache equals the same
     profile read again from warm ones, under the real bound and under one
-    so small that the store keeps evicting."""
+    so small that the store keeps evicting.  The cold reads clear the class
+    memo too, or keep it, so it never hands one expression another's lists."""
 
     def cold(expr):
         STORE.clear()
         gamma4.nuplus._piece.cache_clear()
+        if clear_classes:
+            _classes.cache_clear()
         return vi_expr(expr)
 
     want = [cold(expr) for expr in exprs]
