@@ -267,16 +267,17 @@ def graded_snf(
 
 
 def sieve_members(a: int, b: int, limit: int) -> np.ndarray:
-    """uint8 membership array for the semigroup generated by a and b on [0, limit).
+    """bool membership array for the semigroup generated by a and b on [0, limit).
 
     Every m*a + n*b below ``limit`` is marked by strided slice writes: one
     per multiple of the larger generator, striding by the smaller one, so
-    the Python loop runs ``limit / max(a, b)`` times.
+    the Python loop runs ``limit / max(a, b)`` times.  ``np.flatnonzero``
+    reads bool marks about twice as fast as uint8 ones.
     """
     small, large = sorted((a, b))
-    members = np.zeros(max(0, limit), dtype=np.uint8)
+    members = np.zeros(max(0, limit), dtype=bool)
     for base in range(0, limit, large):
-        members[base::small] = 1
+        members[base::small] = True
     return members
 
 

@@ -95,6 +95,12 @@ would hold tens of MB under an entry bound.  It drops its oldest entries
 first to make room, and a semigroup with more members than the bound is
 returned but never held.
 
+Every closed-form profile is built by ``_repeat_levels``, with level ints
+shared across profiles, from a pool cut back to ``PROFILE_POOL_LEVELS``
+levels (about 2.6 MB at most).  A held profile then costs one pointer per
+entry; a profile with more levels than the bound holds its own ints
+above it.
+
 Both paths take their staircases and duals from one piece cache,
 ``_piece``, an ``lru_cache`` keyed by ``(knot, mirrored)`` and bounded by
 ``PIECE_CACHE_SIZE`` entries: complexes are immutable, so a piece is
@@ -139,6 +145,11 @@ PIECE_CACHE_SIZE = 64
 #: Members the semigroup store ``_semigroup`` holds over all its entries,
 #: about 1 MB of int64.
 SEMIGROUP_STORE_MEMBERS = 1 << 17
+
+#: Level ints the profile pool of ``_repeat_levels`` keeps between calls,
+#: about 2.6 MB at most: the largest closed-form profiles of the benchmark
+#: reach about 2.5 * 10^4 levels.
+PROFILE_POOL_LEVELS = 1 << 16
 
 #: Hard ceiling on the number of generators the direct tensor path may
 #: allocate.  The genus cap alone does not bound the product of staircase
@@ -256,18 +267,37 @@ def _invert_profile(nus: np.ndarray) -> tuple[int, ...]:
 
     ``nu_plus`` does not increase, so ``V_m = v`` exactly for the ``m`` in
     ``[nus[v], nus[v - 1])``, reading ``nus[-1]`` as ``nus[0] + 1``.  Each
-    value is one int object repeated over its span, so a long profile holds
-    one int object per level ``v``, not one per entry: an object array
-    repeats references, and its ``tolist`` hands them back as they are.
+    value is repeated over its span by ``_repeat_levels``, whose level ints
+    are shared across profiles, from a pool cut back to
+    ``PROFILE_POOL_LEVELS`` levels, so a held profile costs one pointer per
+    entry.
     """
     upper = np.concatenate(([nus[0] + 1], nus[:-1]))
     return _repeat_levels(upper - nus)
 
 
+#: The ints ``0, 1, 2, ...`` that profiles take their levels from, as an
+#: object array of at most ``PROFILE_POOL_LEVELS`` entries.
+_LEVEL_POOL = np.empty(0, dtype=object)
+
+
 def _repeat_levels(spans: np.ndarray) -> tuple[int, ...]:
-    """The profile with ``spans[v]`` entries ``v``, largest ``v`` first."""
-    levels = np.array(range(len(spans) - 1, -1, -1), dtype=object)
-    return tuple(levels.repeat(spans[::-1]).tolist())
+    """The profile with ``spans[v]`` entries ``v``, largest ``v`` first.
+
+    Level ints are shared across profiles, from a pool cut back to
+    ``PROFILE_POOL_LEVELS`` levels.  A profile with more levels grows the
+    pool for its own call, and the cut then leaves the levels above the
+    bound held by that profile alone.  An object array repeats references,
+    and its ``tolist`` hands them back as they are, so each level is one
+    int object however many entries repeat it.
+    """
+    global _LEVEL_POOL
+    top = len(spans)
+    levels = _LEVEL_POOL
+    if top > len(levels):
+        levels = np.concatenate((levels, np.arange(len(levels), top).astype(object)))
+        _LEVEL_POOL = levels[:PROFILE_POOL_LEVELS].copy()  # a view would hold them all
+    return tuple(levels[:top][::-1].repeat(spans[::-1]).tolist())
 
 
 def vi_from_nuplus(a: FormalSemigroup, b: FormalSemigroup) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 import re
+import tracemalloc
 from itertools import chain, combinations_with_replacement, permutations, repeat
 from math import gcd
 from pathlib import Path
@@ -740,6 +741,7 @@ def _assert_inversion(nus: np.ndarray) -> None:
 
 
 @given(semigroups, semigroups)
+@example(S23, S23)  # the profile (0,)
 @settings(max_examples=30, deadline=None)
 def test_profile_inversion_matches_repeats(a, b):
     _assert_inversion(nu_profile(a, b))
@@ -751,6 +753,45 @@ def test_profile_inversion_shares_one_int_per_level():
     _assert_inversion(nus)
     assert len(_invert_profile(nus)) == 1801
     _assert_inversion(np.zeros(1, dtype=np.int64))
+
+
+def test_profile_above_the_pool_bound_is_exact_and_not_held(monkeypatch):
+    monkeypatch.setattr(gamma4.nuplus, "PROFILE_POOL_LEVELS", 100)
+    monkeypatch.setattr(gamma4.nuplus, "_LEVEL_POOL", np.empty(0, dtype=object))
+    nus = np.arange(600, -1, -1, dtype=np.int64) * 3
+    _assert_inversion(nus)
+    assert len(gamma4.nuplus._LEVEL_POOL) <= 100
+    _assert_inversion(nus[-50:])  # below the bound: read from the pool
+    assert len(gamma4.nuplus._LEVEL_POOL) <= 100
+
+
+def _large_sides() -> list[FormalSemigroup]:
+    """``T(41,4978) - T(9,251)`` and ``T(31,1997) - T(12,551)``: ``V_0`` of
+    25 219 and 6 910, far above the small ints that Python caches anyway."""
+    pairs = ((41, 4978), (9, 251), (31, 1997), (12, 551))
+    return [FormalSemigroup.from_generators(*pq) for pq in pairs]
+
+
+def test_closed_form_profiles_share_level_ints():
+    a, b, c, d = _large_sides()
+    first, second = vi_from_nuplus(a, b), vi_from_nuplus(c, d)
+    assert second[0] > 256 and second[0] <= first[0]
+    shared = {v: v for v in first}  # every level 0 .. V_0 occurs
+    assert all(v is shared[v] for v in second)
+
+
+def test_held_profile_costs_one_pointer_per_entry():
+    """With the pool warm, a held profile allocates its tuple and no level
+    ints: at most 8 B per entry, plus 64 KiB for anything else."""
+    a, b, c, d = _large_sides()
+    vi_from_nuplus(a, b)  # grows the pool past every level of the next one
+    tracemalloc.start()
+    try:
+        profile = vi_from_nuplus(c, d)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 * len(profile) + (64 << 10)
 
 
 FAMILY_KNOTS = [parse(s).terms[0][0] for s in ["T(2,3)", "T(2,5)", "T(3,4)", "T(3,5)", "T(5,6)"]]
