@@ -18,8 +18,9 @@ blocks of as many rows reads the values.
 This module owns two formats.  Every integer array or sequence that enters
 a complex, a semigroup, a staircase or the profile grid passes one gate,
 ``int64_array``.  The bitset format: ``pack_bit_rows`` packs a pattern into
-uint64 bit rows, and ``column_bitsets`` builds the Python-int column
-bitsets that ``graded_snf`` reduces straight from a differential's arrows.
+uint64 bit rows, and ``column_bitsets`` builds Python-int column bitsets
+straight from a differential's arrows, at the target indices for
+``graded_snf`` or at the targets' parity places for ``cfk``'s rank test.
 ``graded_snf`` has one set-up path: its caller, which runs one pattern
 under many gradings, builds the bitsets, the nonzero columns and a
 grouping of the generators by grading once, and passes them as
@@ -103,10 +104,11 @@ def pack_bit_rows(n: int, entries) -> np.ndarray:
 
 def column_bitsets(n: int, src: np.ndarray, tgt: np.ndarray) -> tuple[int, ...]:
     """Python-int column bitsets of an ``n``-generator differential, built
-    straight from its arrows ``src -> tgt``: bit ``tgt`` of column ``src``.
+    straight from its arrows: bit ``tgt`` of column ``src`` for each arrow.
 
-    Bit i of column j is set iff ``pack_bit_rows(n, pairs)``, with one
-    ``(tgt, src)`` pair per arrow, sets bit j of row i.
+    With target indices as ``tgt``, bit i of column j is set iff
+    ``pack_bit_rows(n, pairs)``, with one ``(tgt, src)`` pair per arrow,
+    sets bit j of row i.
     """
     col_bits = [0] * n
     for s, t in zip(src.tolist(), tgt.tolist()):

@@ -29,6 +29,7 @@ from typing import Callable, Iterable
 from .expressions import KnotExpression, mirror, multiply, parse
 from .nuplus import profile_at, t_from_profile, vi_expr
 from .semigroups import FormalSemigroup
+from .surgery import d_from_profile
 from .torus import signature_expr
 
 
@@ -230,17 +231,12 @@ def _scan(
     rhs_flat: int,
     cells: Iterable[tuple[int, int]],
 ) -> ObstructionOutcome:
-    """Shared grid scan; all arithmetic cross-multiplied by n to stay integral.
-
-    Checks ``lhs_flat + 8 max(V_[k], V_[n-k]) >= rhs_flat - n - quad(n, k)/n``
-    for every cell, where ``quad = 4(n+k)^2 - (2[k]-n)^2``.
-    """
+    """Shared grid scan: a cell ``(n, k)`` excludes when the correction term
+    ``d = d_from_profile(back_profile, n, k mod n)`` of the mirror satisfies
+    ``4 d > lhs_flat - rhs_flat + n - 1 + 4 (n + k)^2 / n``."""
     for n, k in cells:
-        r = k % n
-        vmax = max(profile_at(back_profile, r), profile_at(back_profile, n - r))
-        lhs = n * (lhs_flat + 8 * vmax)
-        rhs = n * (rhs_flat - n) - (4 * (n + k) ** 2 - (2 * r - n) ** 2)
-        if lhs < rhs:
+        d = d_from_profile(back_profile, n, k % n)
+        if 4 * d > lhs_flat - rhs_flat + n - 1 + Fraction(4 * (n + k) ** 2, n):
             return ObstructionOutcome(feasible=False, witness=(n, k))
     return ObstructionOutcome(feasible=True)
 

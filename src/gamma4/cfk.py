@@ -239,12 +239,10 @@ class BifilteredComplex:
         """Bit ``k`` of ``_targets[x]`` is set iff ``x`` has an arrow to the
         generator at place ``k`` of ``_parity_places``: in one grading of
         CF^-, the column of the boundary map at ``x``.  Arrows flip the
-        Maslov parity, so each parity's masks share a half-width bit space."""
-        targets = [0] * len(self)
+        Maslov parity, so each parity's masks share a half-width bit space;
+        ``_kernels.column_bitsets`` builds them with the places as bits."""
         places = _parity_places(self.maslov)[self.tgt]
-        for s, k in zip(self.src.tolist(), places.tolist()):
-            targets[s] |= 1 << k
-        return tuple(targets)
+        return _kernels.column_bitsets(len(self), self.src, places)
 
     def dump(self) -> str:
         """Stable text form: `id M A` lines, then `src -> U^e tgt` arrow lines."""

@@ -53,7 +53,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -79,7 +78,7 @@ from .nuplus import (
     vi_expr,
 )
 from .semigroups import is_torsion_profile
-from .surgery import d_from_profile
+from .surgery import correction_terms
 from .torus import alexander, signature_expr
 from .verify import SUBSETS
 from .verify import run as run_verify
@@ -184,26 +183,16 @@ def _fraction_json(value, decimal: bool) -> dict:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _float_json(value: float) -> str:
-    """A float as ``json`` writes it, NaN and the infinities included."""
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
 def _json_text(value, decimal: bool) -> str:
     """The text of ``json.dumps(value, sort_keys=True, indent=2,
     default=partial(_fraction_json, decimal=decimal))``, written directly.
 
     With ``indent`` set, ``json.dumps`` runs the pure-Python encoder; this
-    writer gives the same bytes in fewer steps.  It checks types in the
-    encoder's order (str, None, True, False, int, float, list or tuple,
-    dict, then ``_fraction_json``), so it refuses what ``json.dumps`` refuses
-    with the same ``TypeError``.  Dict keys must be strings, and ``value``
+    writer gives the same bytes in fewer steps.  It writes only the types
+    the package prints, checked in the encoder's order (str, None, True,
+    False, int, list or tuple, dict, then ``_fraction_json``), so it refuses
+    what ``json.dumps`` refuses with the same ``TypeError``, and a float
+    too: no payload holds one.  Dict keys must be strings, and ``value``
     must be a tree: the writer has no cycle check.
     """
     chunks: list[str] = []
@@ -220,8 +209,6 @@ def _json_text(value, decimal: bool) -> str:
             out("false")
         elif isinstance(value, int):
             out(int.__repr__(value))
-        elif isinstance(value, float):
-            out(_float_json(value))
         elif isinstance(value, (list, tuple)):
             if not value:
                 out("[]")
@@ -369,15 +356,7 @@ def _cmd_bound(args, expr: KnotExpression, cache: ProfileCache) -> _Output:
 
 def _cmd_d_invariant(args, expr: KnotExpression, cache: ProfileCache) -> _Output:
     n = args.n
-    if n == 0:
-        raise ValueError("surgery framing must be nonzero")
-    # Negative framings read the mirror's profile and flip the sign.
-    if n > 0:
-        profile = cache.profile(expr)
-        values = [d_from_profile(profile, n, k) for k in range(n)]
-    else:
-        profile = cache.profile(mirror(expr))
-        values = [-d_from_profile(profile, -n, k) for k in range(-n)]
+    values = correction_terms(expr, n, cache.profile)
     lines = [_heading(expr), f"framing: {n}"]
     lines += [
         f"k = {k}: {_frac_text(value, args.decimal)}"

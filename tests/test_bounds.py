@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gamma4.bounds
 from gamma4.bounds import (
@@ -19,9 +21,9 @@ from gamma4.bounds import (
     upsilon_torus,
 )
 from gamma4.expressions import InvalidKnotError, mirror, multiply, parse
-from gamma4.nuplus import hom_wu_nu_plus, t_invariant, vi_expr
+from gamma4.nuplus import hom_wu_nu_plus, profile_at, t_invariant, vi_expr
 from gamma4.semigroups import NotCoprimeError
-from gamma4.torus import signature
+from gamma4.torus import signature, signature_expr
 from gamma4.verify import SAMPLE_FAMILY
 
 HEADLINE = parse("T(2,3) - T(5,6)")
@@ -246,6 +248,84 @@ def test_wider_grids_change_nothing(monkeypatch):
         assert genus_obstruction(expr, h, n_max=9).feasible == feasible, (expr, h)
     for (expr, e), feasible in base_euler.items():
         assert euler_obstruction(expr, 1, e, n_max=9).feasible == feasible, (expr, e)
+
+
+def _scan_reference(back_profile, lhs_flat, rhs_flat, cells):
+    """The obstruction scan in integers only, cross-multiplied by n: checks
+    ``lhs_flat + 8 max(V_[k], V_[n-k]) >= rhs_flat - n - quad(n, k)/n`` for
+    every cell, where ``quad = 4(n+k)^2 - (2[k]-n)^2``."""
+    for n, k in cells:
+        r = k % n
+        vmax = max(profile_at(back_profile, r), profile_at(back_profile, n - r))
+        lhs = n * (lhs_flat + 8 * vmax)
+        rhs = n * (rhs_flat - n) - (4 * (n + k) ** 2 - (2 * r - n) ** 2)
+        if lhs < rhs:
+            return ObstructionOutcome(feasible=False, witness=(n, k))
+    return ObstructionOutcome(feasible=True)
+
+
+def _obstruction_calls():
+    """The ``_scan`` arguments of the genus and Euler obstruction calls above."""
+    for expr in SAMPLES:
+        back, sigma = vi_expr(mirror(expr)), signature_expr(expr)
+        for h in range(5):
+            for n_max in (9, 15, 25):
+                yield back, 4 * h, 2 * sigma, n_max
+        for h in range(3):
+            for e in range(-8, 9, 2):
+                yield back, 2 * h, e, 9
+
+
+# Every flat of a real call is even.  Then, less ``4 (n + k)^2 / n``, both
+# sides of the scan's inequality are even integers (``n`` is odd), so its
+# ``- 1`` shows only when ``lhs_flat - rhs_flat`` is odd.  These cases sit
+# on that boundary, one witness size each.
+_ODD_FLAT_CASES = [
+    ((0,), 0, 1, 1, (1, -1)),
+    ((0,), 0, 5, 3, (1, -2)),
+    ((1, 0), -10, -5, 5, (3, -4)),
+    ((2, 1, 0), -10, -1, 9, (5, -7)),
+    ((3, 2, 1, 0), -10, 3, 15, (7, -10)),
+]
+
+
+def test_scan_matches_integer_reference_on_real_calls():
+    for back, lhs_flat, rhs_flat, n_max in _obstruction_calls():
+        cells = list(gamma4.bounds._grid(n_max))
+        got = gamma4.bounds._scan(back, lhs_flat, rhs_flat, cells)
+        assert got == _scan_reference(back, lhs_flat, rhs_flat, cells)
+
+
+@pytest.mark.parametrize("back, lhs_flat, rhs_flat, n_max, witness", _ODD_FLAT_CASES)
+def test_scan_matches_integer_reference_on_odd_flats(
+    back, lhs_flat, rhs_flat, n_max, witness
+):
+    cells = list(gamma4.bounds._grid(n_max))
+    expected = ObstructionOutcome(feasible=False, witness=witness)
+    assert _scan_reference(back, lhs_flat, rhs_flat, cells) == expected
+    assert gamma4.bounds._scan(back, lhs_flat, rhs_flat, cells) == expected
+
+
+@st.composite
+def _torsion_profiles(draw):
+    """A torsion profile with ``V_0 <= 8``: each value from ``V_0`` down
+    to 1 repeats a few times, then the profile ends at its only zero."""
+    top = draw(st.integers(min_value=0, max_value=8))
+    runs = draw(st.lists(st.integers(1, 4), min_size=top, max_size=top))
+    return tuple(v for v, run in zip(range(top, 0, -1), runs) for _ in range(run)) + (0,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _torsion_profiles(),
+    st.integers(-40, 40),
+    st.integers(-40, 40),
+    st.integers(1, 15),
+)
+def test_scan_matches_integer_reference(back, lhs_flat, rhs_flat, n_max):
+    cells = list(gamma4.bounds._grid(n_max))
+    got = gamma4.bounds._scan(back, lhs_flat, rhs_flat, cells)
+    assert got == _scan_reference(back, lhs_flat, rhs_flat, cells)
 
 
 def test_omega_upper_values():

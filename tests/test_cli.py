@@ -6,6 +6,7 @@ import argparse
 import ast
 import functools
 import json
+import math
 import os
 import re
 import subprocess
@@ -759,7 +760,6 @@ _json_scalars = st.one_of(
     st.integers(min_value=2**64, max_value=2**200).flatmap(
         lambda n: st.sampled_from([n, -n])
     ),
-    st.floats(),
     st.fractions(),
 )
 _json_trees = st.recursive(
@@ -796,6 +796,15 @@ def test_json_text_refuses_what_json_dumps_refuses(bad, decimal):
     with pytest.raises(TypeError) as written:
         gamma4.cli._json_text(payload, decimal)
     assert str(written.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("decimal", [False, True])
+@pytest.mark.parametrize("bad", [1.5, math.nan, math.inf], ids=["1.5", "nan", "inf"])
+def test_json_text_refuses_floats(bad, decimal):
+    """No payload holds a float, so the writer has no float branch: a float
+    reaches ``_fraction_json`` and is refused."""
+    with pytest.raises(TypeError, match="^float is not JSON serializable$"):
+        gamma4.cli._json_text({"results": [1, {"value": bad}]}, decimal)
 
 
 def test_cache_file_is_canonical_json(tmp_path, capsys):
